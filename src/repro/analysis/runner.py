@@ -29,7 +29,7 @@ _CACHE: dict[Scenario, MetricsReport] = {}
 
 
 def run_scenario(
-    scenario: Scenario, use_cache: bool = True, backend: Optional[str] = None
+    scenario: Scenario, use_cache: bool = True, backend: str = "array"
 ) -> MetricsReport:
     """Run one scenario to completion and return its Table I report.
 
@@ -59,7 +59,7 @@ def prefetch_scenarios(
     scenarios: Iterable[Scenario],
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    backend: Optional[str] = None,
+    backend: str = "array",
     cache: Optional["ResultCache"] = None,
 ) -> int:
     """Run every uncached scenario through the sweep engine, filling the memo.
@@ -127,7 +127,7 @@ def run_sweep(
     seed: int,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
-    backend: Optional[str] = None,
+    backend: str = "array",
     cache: Optional["ResultCache"] = None,
 ) -> SweepResult:
     """Run the partial/full pair for every task count.

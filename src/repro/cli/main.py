@@ -41,6 +41,7 @@ from repro.analysis.paperconfig import (
 from repro.analysis.runner import run_sweep
 from repro.framework.report import write_report_xml
 from repro.lint.cli import add_lint_arguments, run_from_args as run_lint_from_args
+from repro.resources import BACKENDS
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -67,21 +68,6 @@ def _add_jobs(p: argparse.ArgumentParser) -> None:
         help="worker processes for the sweep engine "
         "(1 = serial, 0 = one per CPU; results are bit-identical either way)",
     )
-
-
-def _resolved_backend(args: argparse.Namespace) -> str:
-    """Resolve ``--backend`` (with the deprecated ``--no-indexed`` alias).
-
-    The CLI defaults to the array backend — all three backends produce
-    bit-identical results (the differential suite asserts it), so the
-    fastest one is the only sensible interactive default.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        return backend
-    if getattr(args, "no_indexed", False):
-        return "scan"
-    return "array"
 
 
 def _resolved_jobs(args: argparse.Namespace) -> int:
@@ -220,14 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under cProfile and print the hottest functions",
     )
     run_p.add_argument(
-        "--backend", choices=("array", "indexed", "scan"), default=None,
+        "--backend", choices=BACKENDS, default="array",
         help="resource-manager backend (default: array — flat-table hot "
-        "loop; all three produce bit-identical results)",
-    )
-    run_p.add_argument(
-        "--no-indexed", action="store_true",
-        help="deprecated alias for --backend scan (reference linear-scan "
-        "manager; same results/counters, O(n) wall-clock per query)",
+        "loop; scan is the reference linear-scan manager; both produce "
+        "bit-identical results)",
     )
     run_p.add_argument(
         "--trace", type=str, default=None, metavar="PATH",
@@ -259,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconfiguration method (Table II's last row)",
     )
     serve_p.add_argument(
-        "--backend", choices=("array", "indexed", "scan"), default=None,
+        "--backend", choices=BACKENDS, default="array",
         help="resource-manager backend (default: array; snapshots are "
         "backend-neutral, so a resume may pick a different one)",
     )
@@ -313,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="MetricsReport attribute to tabulate",
     )
     sweep_p.add_argument(
-        "--backend", choices=("array", "indexed", "scan"), default=None,
+        "--backend", choices=BACKENDS, default="array",
         help="resource-manager backend (default: array; results are "
         "bit-identical across backends, only wall-clock differs)",
     )
@@ -493,7 +475,7 @@ def _run_seed_sweep(args: argparse.Namespace) -> int:
     progress = lambda m: print(m, file=sys.stderr)  # noqa: E731
     base = RunSpec(
         campaign=_campaign_spec_from_args(args),
-        backend=_resolved_backend(args),
+        backend=args.backend,
         collect_digest=args.trace_digest,
     )
     specs = [base.with_seed(args.seed + i) for i in range(args.seeds)]
@@ -552,7 +534,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = _campaign_spec_from_args(args)
         result, injector = run_campaign(
             spec,
-            backend=_resolved_backend(args),
+            backend=args.backend,
             trace=trace,
         )
         params = {
@@ -617,7 +599,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     spec = _campaign_spec_from_args(args)
     if args.swf:
         spec = dataclasses.replace(spec, tasks=0)
-    backend = _resolved_backend(args)
+    backend = args.backend
 
     if args.resume:
         prefix = []
@@ -754,7 +736,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.nodes, args.tasks, args.seed,
         progress=lambda m: print(m, file=sys.stderr),
         jobs=_resolved_jobs(args),
-        backend=_resolved_backend(args),
+        backend=args.backend,
         cache=_resolved_cache(args),
     )
     print(

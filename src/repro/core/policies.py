@@ -82,7 +82,7 @@ class PlacementPolicy:
         """Choose a direct-allocation target among idle entries of ``config``.
 
         The paper's MIN_AREA rule delegates to the manager's query (which
-        serves it from the idle-entry index in indexed mode); the ablation
+        the array backend serves from its idle-entry array); the ablation
         criteria walk the chain here.
         """
         if self.idle is SelectionCriterion.MIN_AREA:

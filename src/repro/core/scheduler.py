@@ -157,7 +157,7 @@ class DreamScheduler:
             if reclaimable < self._min_config_area:
                 return None  # no configuration can fit in the reclaimable region
 
-            if self.rim.indexed:
+            if self.rim.backend == "array":
                 # The fit test depends only on the record's key (the matched
                 # configuration number), so the per-key index answers it
                 # without walking the queue; charging is identical to the

@@ -85,8 +85,7 @@ class FaultCampaignSpec:
 
 def build_campaign(
     spec: FaultCampaignSpec,
-    indexed: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "array",
     trace: Optional[TraceBus] = None,
     arm: bool = True,
     workload: Optional[tuple] = None,
@@ -126,7 +125,6 @@ def build_campaign(
         config_list,
         stream,
         partial=spec.partial,
-        indexed=indexed,
         backend=backend,
         trace=trace,
         **sim_kwargs,
@@ -160,8 +158,7 @@ def build_campaign(
 
 def run_campaign(
     spec: FaultCampaignSpec,
-    indexed: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "array",
     trace: Optional[TraceBus] = None,
     workload: Optional[tuple] = None,
     **sim_kwargs: Any,
@@ -169,7 +166,6 @@ def run_campaign(
     """Build and run one campaign; returns the result and the injector."""
     sim, injector = build_campaign(
         spec,
-        indexed=indexed,
         backend=backend,
         trace=trace,
         workload=workload,

@@ -97,7 +97,7 @@ class ExperimentConfig:
         """Instantiate a ready-to-run simulator from this configuration.
 
         ``sim_kwargs`` pass through to :class:`DReAMSim` (e.g. ``trace=`` to
-        attach a trace bus, ``indexed=False`` for the reference manager).
+        attach a trace bus, ``backend="scan"`` for the reference manager).
         """
         rng = RNG(seed=self.seed)
         nodes = generate_nodes(self.node_spec, rng)

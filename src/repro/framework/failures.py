@@ -48,9 +48,9 @@ graceful degradation (only a task that would otherwise be discarded may
 claim a quarantined node; see ``DreamScheduler._rescue_or_discard``).
 
 Every decision is deterministic under the injector's ``rng`` seed and —
-because all state changes flow through the resource manager's mode-agnostic
-mutation paths — bit-identical between ``indexed=True`` and
-``indexed=False`` managers.
+because all state changes flow through the resource manager's
+backend-agnostic mutation paths — bit-identical between the array and the
+scan backends.
 
 Attach with ``FailureInjector(sim, mtbf=…, mttr=…, rng=…).arm()`` before
 ``sim.run()``.  Injection stops once all arrivals have been generated and

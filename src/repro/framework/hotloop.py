@@ -117,7 +117,6 @@ def hot_eligible(sim: "DReAMSim") -> bool:
         and pol.blank is min_area
         and pol.partially_blank is min_area
         and type(sched.network) is FixedDelayModel
-        and sim.env.tracer is None
         and not sim.env._queue
         and sim.env._now == 0
         and not sim.tasks
@@ -782,7 +781,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 if trace_on:
                     tr_app(f'{{"busy":{sc_busy},"ev":"MonitorSampled","hk":{hk_steps},"queued":{qlen},"running":{running_count},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"waste":{wasted_total}}}\n')
                     tr_seq += 1
-            # LoadBalancer.observe, inlined (indexed O(1) aggregates).
+            # LoadBalancer.observe, inlined (the array backend's O(1) aggregates).
             s1 = load_sum_i / load_den
             s2 = load_sumsq_i / load_den_sq
             max_load = sl[-1][0] if sl else 0.0

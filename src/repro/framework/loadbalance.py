@@ -62,18 +62,18 @@ class LoadBalancer:
     def observe(self, now: int) -> LoadSnapshot:
         """Sample the load distribution and record the imbalance summary.
 
-        Runs once per task completion.  With an indexed resource manager it
-        reads the O(1) exact-integer utilization aggregates
+        Runs once per task completion.  On the array backend it reads the
+        manager's O(1) exact-integer utilization aggregates
         (``Var X = E[X²] − (E[X])²`` in place of the two-pass variance);
-        the reference manager keeps the original O(nodes) walk.  The sums
-        themselves are exact in both modes (so an idle system reports
+        the reference scan manager keeps the original O(nodes) walk.  The
+        sums are exact on both backends (so an idle system reports
         ``cv == 0`` identically), but ``mean``/``cv``/``jain`` can still
         differ by a few ULPs of final-operation rounding, so the
         differential tests compare these beyond-paper series with a tight
         tolerance while everything paper-facing stays exact.
         """
         n = len(self.rim.nodes)
-        if self.rim.indexed:
+        if self.rim.backend == "array":
             s1, s2, max_load = self.rim.load_stats()
             mean = s1 / n if n else 0.0
             if n and mean > 0:

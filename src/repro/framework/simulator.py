@@ -33,7 +33,7 @@ from repro.metrics.table1 import MetricsReport, compute_report
 from repro.model.config import Configuration
 from repro.model.node import Node
 from repro.model.task import Task, export_task, restore_task
-from repro.resources import create_manager, resolve_backend
+from repro.resources import create_manager
 from repro.resources.arraycore import ArraySuspensionQueue
 from repro.resources.counters import SearchCounters
 from repro.resources.invariants import check_invariants
@@ -94,21 +94,18 @@ class DReAMSim:
         testing/diagnosis only).
     sample_system_waste:
         Sample Eq. 6 at every placement (O(nodes) each; on by default).
-    indexed:
-        Legacy resource-manager mode switch: ``True`` (default) answers
-        scheduler queries from area-ordered indexes with identical simulated
-        step accounting; ``False`` runs the reference linear scans
-        (differential baseline).  Ignored when ``backend`` is given.
     backend:
-        Explicit backend selector: ``"array"`` (flat-table hot loop,
-        :class:`repro.resources.arraycore.ArrayRIM` plus the array
-        suspension queue), ``"indexed"`` or ``"scan"`` (object manager).
-        ``None`` (default) resolves from ``indexed``.
+        Resource-manager backend: ``"array"`` (default; flat-table hot
+        loop, :class:`repro.resources.arraycore.ArrayRIM` plus the array
+        suspension queue) or ``"scan"`` (the reference linear-scan manager).
+        A device-family system runs ``"scan"`` whatever is asked (see
+        :func:`repro.resources.resolve_backend`); :attr:`backend` records
+        the backend that actually runs.
     trace:
         Optional :class:`repro.trace.TraceBus`.  The simulator wires its
         clock and counters onto the bus and hands it to every subsystem, so
         one attached bus observes the full event stream (DESIGN.md §9).
-        The backend is deliberately NOT recorded in the trace — all three
+        The backend is deliberately NOT recorded in the trace — both
         backends must produce identical digests.
     """
 
@@ -128,8 +125,7 @@ class DReAMSim:
         network: Optional["NetworkModel"] = None,
         queue_order: str = "fifo",
         gpp: Optional["GppPool"] = None,
-        indexed: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "array",
         trace: Optional["TraceBus"] = None,
     ) -> None:
         self.env = Environment()
@@ -138,11 +134,10 @@ class DReAMSim:
         if trace is not None:
             trace.clock = lambda: int(self.env.now)
             trace.counters = self.counters
-        self.backend = resolve_backend(backend, indexed)
         self.rim = create_manager(
-            list(nodes), list(configs), self.counters,
-            backend=self.backend, trace=trace,
+            list(nodes), list(configs), self.counters, backend=backend, trace=trace,
         )
+        self.backend = self.rim.backend
         queue_cls = (
             ArraySuspensionQueue if self.backend == "array" else SuspensionQueue
         )

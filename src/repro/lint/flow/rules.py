@@ -99,13 +99,10 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
         "network_delay": _CONSTRUCTION,
     },
     "resources/manager.py::ResourceInformationManager": {
+        "configs": _CONSTRUCTION,
         "counters": _CONSTRUCTION,
-        "indexed": _CONSTRUCTION,
         "trace": _CONSTRUCTION,
-        "_configs_by_area": _DERIVED_STATIC,
-        "_homogeneous": _DERIVED_STATIC,
-        "_load_den": _DERIVED_STATIC,
-        "_load_den_sq": _DERIVED_STATIC,
+        "_node_pos": _DERIVED_STATIC,
         "on_quarantine_release": (
             "callback slot wired by the failure injector when it arms; "
             "restore_snapshot requires an un-armed injector and re-wires it"
@@ -482,9 +479,9 @@ DL013_PAIRS: tuple[tuple[tuple[str, str], tuple[str, str]], ...] = (
 #: Sanctioned asymmetries, keyed by (reference, substitute) class names.
 DL013_ALLOW: dict[tuple[str, str], dict[str, str]] = {
     ("ResourceInformationManager", "ArrayRIM"): {
-        "__init__": (
-            "the reference manager's `indexed` knob selects its scan vs "
-            "indexed mode; create_manager() normalises the constructor call"
+        "load_stats": (
+            "array-backend-only O(1) load aggregates; the load balancer "
+            "walks the node table instead on the reference scan manager"
         ),
         "validate_structures": (
             "array-backend-only deep invariant checker used by the "

@@ -11,7 +11,7 @@ Allowlists
 DL002's integer-accounting rule carries an explicit allowlist
 (:data:`DL002_ALLOW`) for the few places float arithmetic is the *design*:
 the Welford statistics accumulators, the GPP slowdown model, the availability
-ratio, and the manager's float-keyed load index.  Everything else needs an
+ratio, and the array manager's load aggregates.  Everything else needs an
 inline ``# dreamlint: disable=DL002 (reason)``.  The allowlist maps a
 root-relative path to qualified-name prefixes (``"*"`` = whole module).
 """
@@ -43,9 +43,8 @@ DL002_ALLOW: dict[str, frozenset[str]] = {
     "model/gpp.py": frozenset({"*"}),
     # Availability is a ratio in [0, 1]; integer facts in, float ratio out.
     "framework/failures.py": frozenset({"FailureInjector.availability"}),
-    # load_stats() divides the exact integer sums once, on read.
-    "resources/manager.py": frozenset({"ResourceInformationManager.load_stats"}),
-    # The array manager's load_stats() mirrors the indexed manager's.
+    # The array manager's load_stats() divides the exact integer sums once,
+    # on read.
     "resources/arraycore.py": frozenset({"ArrayRIM.load_stats"}),
 }
 
@@ -54,9 +53,9 @@ HOT_PREFIXES = ("resources/", "model/", "core/", "sim/", "framework/", "trace/")
 
 #: Files that *implement* a resource manager (DL005): these own the guarded
 #: chain/index/aggregate state and may mutate it.  ``manager.py`` is the
-#: object-graph implementation; ``arraycore.py`` is the flat-table array
+#: reference scan manager; ``arraycore.py`` is the flat-table array
 #: backend, whose columns carry the same invariants (checked by
-#: ``validate_structures`` and the three-way differential suite).
+#: ``validate_structures`` and the array-vs-scan differential suite).
 DL005_OWNERS = frozenset({"resources/manager.py", "resources/arraycore.py"})
 
 #: Manager-owned chain/index/aggregate attributes (DL005): mutating any of
@@ -65,14 +64,6 @@ DL005_OWNERS = frozenset({"resources/manager.py", "resources/arraycore.py"})
 #: aggregates exact.
 GUARDED_ATTRS = frozenset(
     {
-        "_ix_partial",
-        "_ix_reclaim",
-        "_ix_allidle",
-        "_ix_busy",
-        "_ix_blank",
-        "_ix_idle_entries",
-        "_ix_load",
-        "_configs_by_area",
         "_idle",
         "_busy",
         "_blank",
@@ -508,7 +499,7 @@ class GuardedMutation(Rule):
     severity = Severity.ERROR
     rationale = (
         "The redundant §IV-B views stay consistent because every mutation "
-        "runs inside a manager implementation's guarded methods (the indexed "
+        "runs inside a manager implementation's guarded methods (the scan "
         "manager's _track, the array manager's column updates); ad-hoc "
         "writes from other modules drift the I9/I10 aggregates."
     )
@@ -619,7 +610,7 @@ class NoDeepcopyOnHotPaths(Rule):
     rationale = (
         "deepcopy walks the whole object graph (nodes hold entries hold "
         "tasks hold configs); one call on a per-event path erases the "
-        "indexed-mode speedups and duplicates intrusive-chain state."
+        "array backend's speedups and duplicates intrusive-chain state."
     )
 
     def check_file(self, f: SourceFile) -> Iterator[Finding]:

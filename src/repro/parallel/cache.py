@@ -65,7 +65,6 @@ def spec_key(spec: RunSpec, salt: str = CACHE_SALT) -> str:
     doc = {
         "salt": salt,
         "campaign": asdict(spec.campaign),
-        "indexed": spec.indexed,
         "backend": spec.backend,
         "collect_digest": spec.collect_digest,
         "collect_events": spec.collect_events,

@@ -65,7 +65,7 @@ from repro.parallel.worker import ChunkItemFailure, execute_chunk, execute_spec
 #: Relative cost of one simulated task under each backend (measured orders
 #: of magnitude from BENCH_perf.json, frozen here as integers so chunking
 #: stays deterministic).
-_BACKEND_COST = {"array": 1, "indexed": 3, "scan": 8}
+_BACKEND_COST = {"array": 1, "scan": 8}
 
 #: Aim for about this many chunks per worker over the remaining work.
 _CHUNKS_PER_JOB = 4
@@ -84,11 +84,7 @@ def estimate_cost(spec: RunSpec) -> int:
     layout for a given spec list is a pure function of that list.
     """
     c = spec.campaign
-    cost = max(1, c.tasks)
-    backend = spec.backend if spec.backend is not None else (
-        "indexed" if spec.indexed else "scan"
-    )
-    cost *= _BACKEND_COST.get(backend, _BACKEND_COST["indexed"])
+    cost = max(1, c.tasks) * _BACKEND_COST[spec.backend]
     if c.faults_enabled:
         cost *= 3
     if spec.collect_digest or spec.collect_events:

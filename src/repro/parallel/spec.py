@@ -8,7 +8,7 @@ from the seed exactly the way a serial run does, so that the run it executes
 is byte-for-byte the run ``jobs=1`` would have executed.  A
 :class:`RunSpec` therefore carries only scalars: the
 :class:`~repro.framework.campaign.FaultCampaignSpec` (Table II workload
-knobs + mode + seed + fault process) plus the manager mode and the
+knobs + mode + seed + fault process) plus the manager backend and the
 collection switches for the optional payload extras.
 
 :class:`RunPayload` is the return trip: a ``SimulationResult``-equivalent
@@ -30,6 +30,7 @@ from repro.framework.campaign import FaultCampaignSpec
 from repro.metrics.resilience import ResilienceReport
 from repro.metrics.table1 import MetricsReport
 from repro.metrics.timeseries import TimeSeries
+from repro.resources import BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.paperconfig import Scenario
@@ -45,12 +46,11 @@ class RunSpec:
     campaign:
         Workload + mode + seed + fault knobs.  A spec with no fault knob set
         describes exactly the run :func:`repro.quick_simulation` performs.
-    indexed:
-        Resource-manager mode (same switch as :class:`repro.framework.DReAMSim`).
     backend:
-        Explicit resource-manager backend (``"array"`` / ``"indexed"`` /
-        ``"scan"``); when set it overrides ``indexed``, which remains for
-        spec compatibility with existing callers.
+        Resource-manager backend, one of :data:`repro.resources.BACKENDS`
+        (``"array"`` by default, as for :class:`repro.framework.DReAMSim`).
+        Any other name raises :class:`ValueError` at construction, so a bad
+        sweep fails before it runs anything.
     collect_digest:
         Attach a :class:`~repro.trace.bus.DigestSink` in the worker and
         return the run's order-sensitive trace digest.
@@ -63,18 +63,22 @@ class RunSpec:
     """
 
     campaign: FaultCampaignSpec
-    indexed: bool = True
-    backend: Optional[str] = None
+    backend: str = "array"
     collect_digest: bool = False
     collect_events: bool = False
     collect_monitor: bool = False
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; options: {BACKENDS}"
+            )
 
     @classmethod
     def from_scenario(
         cls,
         scenario: "Scenario",
-        indexed: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "array",
         collect_digest: bool = False,
         collect_events: bool = False,
         collect_monitor: bool = False,
@@ -94,7 +98,6 @@ class RunSpec:
                 partial=scenario.partial,
                 seed=scenario.seed,
             ),
-            indexed=indexed,
             backend=backend,
             collect_digest=collect_digest,
             collect_events=collect_events,
@@ -112,11 +115,8 @@ class RunSpec:
         tag = f"n{c.nodes}-t{c.tasks}-{mode}-s{c.seed}"
         if c.faults_enabled:
             tag += "-faults"
-        if self.backend is not None:
-            if self.backend != "indexed":
-                tag += f"-{self.backend}"
-        elif not self.indexed:
-            tag += "-scan"
+        if self.backend != "array":
+            tag += f"-{self.backend}"
         return tag
 
 

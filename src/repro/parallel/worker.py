@@ -146,7 +146,6 @@ def execute_spec(indexed_spec: tuple[int, RunSpec]) -> RunPayload:
             trace.attach(memory_sink)
     result, injector = run_campaign(
         spec.campaign,
-        indexed=spec.indexed,
         backend=spec.backend,
         trace=trace,
         workload=_fresh_workload(spec.campaign),

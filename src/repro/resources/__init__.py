@@ -26,10 +26,10 @@ Implements §IV-B's "dynamic data structures for resource management":
 * :mod:`~repro.resources.invariants` — a full-state consistency checker used
   by the tests and by the simulator's optional debug mode.
 
-The three backends are selected through :func:`create_manager`:
-``"array"`` (flat tables), ``"indexed"`` (object manager with sorted
-indexes), ``"scan"`` (object manager, reference linear scans).  All three
-produce bit-identical placements, counters, reports and trace digests.
+Two backends, selected through :func:`create_manager`: ``"array"`` (the
+fast tier: flat tables, the default) and ``"scan"`` (the reference tier:
+the object manager's literal linear scans).  Both produce bit-identical
+placements, counters, reports and trace digests.
 """
 
 from typing import Optional, Sequence
@@ -45,19 +45,27 @@ from repro.resources.susqueue import SuspendedTask, SuspensionQueue
 from repro.trace.bus import TraceBus
 
 #: Valid ``backend=`` selectors, fastest first.
-BACKENDS = ("array", "indexed", "scan")
+BACKENDS = ("array", "scan")
 
 
-def resolve_backend(backend: Optional[str], indexed: bool) -> str:
-    """Normalise the (``backend``, legacy ``indexed``) pair to one selector.
+def resolve_backend(
+    backend: str, nodes: Sequence[Node], configs: Sequence[Configuration]
+) -> str:
+    """The backend that actually runs ``backend`` on this system.
 
-    ``backend=None`` preserves the historical behaviour: ``indexed=True`` →
-    ``"indexed"``, ``indexed=False`` → ``"scan"``.
+    Rejects names outside :data:`BACKENDS`.  The array tables cannot encode
+    per-pair device-family compatibility, so a heterogeneous (family)
+    system resolves ``"array"`` to ``"scan"``.  This is the one place the
+    choice is made: the manager, the suspension-queue type and
+    ``DReAMSim.backend`` all follow its answer.
     """
-    if backend is None:
-        return "indexed" if indexed else "scan"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; options: {BACKENDS}")
+    if backend == "array" and (
+        any(c.family is not None for c in configs)
+        or any(n.family is not None for n in nodes)
+    ):
+        return "scan"
     return backend
 
 
@@ -68,28 +76,10 @@ def create_manager(
     backend: str = "array",
     trace: Optional[TraceBus] = None,
 ) -> "ArrayRIM | ResourceInformationManager":
-    """Build the resource manager for ``backend`` (the manager seam).
-
-    ``"array"`` requires the paper's homogeneous single-family system; a
-    heterogeneous setup transparently falls back to the object manager in
-    indexed mode, which handles per-pair compatibility via its reference
-    scans.
-    """
-    if backend == "array":
-        if all(c.family is None for c in configs) and all(n.family is None for n in nodes):
-            return ArrayRIM(nodes, configs, counters=counters, trace=trace)
-        return ResourceInformationManager(
-            nodes, configs, counters=counters, indexed=True, trace=trace
-        )
-    if backend == "indexed":
-        return ResourceInformationManager(
-            nodes, configs, counters=counters, indexed=True, trace=trace
-        )
-    if backend == "scan":
-        return ResourceInformationManager(
-            nodes, configs, counters=counters, indexed=False, trace=trace
-        )
-    raise ValueError(f"unknown backend {backend!r}; options: {BACKENDS}")
+    """Build the resource manager :func:`resolve_backend` picks (the manager seam)."""
+    if resolve_backend(backend, nodes, configs) == "array":
+        return ArrayRIM(nodes, configs, counters=counters, trace=trace)
+    return ResourceInformationManager(nodes, configs, counters=counters, trace=trace)
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """The array-backed simulation core — the ``backend="array"`` hot loop.
 
-:class:`ArrayRIM` is a drop-in replacement for
+:class:`ArrayRIM` is a drop-in replacement for the reference scan manager
 :class:`repro.resources.manager.ResourceInformationManager` whose *entire*
 query state lives in flat integer tables instead of object graphs:
 
@@ -9,26 +9,27 @@ query state lives in flat integer tables instead of object graphs:
   node's position, so the Alg. 1 scans touch nothing but C-level list
   reads;
 * **config table** — one sorted list of ``req_area << POS | position``
-  ints replacing the closest-match index;
-* **sorted query arrays** — each ``SortedKeyIndex`` of the object manager
-  becomes one plain sorted ``list[int]`` with the key packed into the high
-  bits and the tie-break (table position or an append sequence number) in
-  the low bits, maintained with ``bisect``/``insort``:
+  ints answering the closest-match lookup by bisection;
+* **sorted query arrays** — one plain sorted ``list[int]`` per reference
+  scan, with the key packed into the high bits and the tie-break (table
+  position or an append sequence number) in the low bits, maintained with
+  ``bisect``/``insort``, so the first element at or above a key is the
+  scan's first-strict-minimum answer:
 
-  =============  ======================================  =================
-  array          packing                                 replaces
-  =============  ======================================  =================
-  ``_sp``        ``avail  << 20 | pos``                  ``_ix_partial``
-  ``_sr``        ``reclaim << 20 | pos``                 ``_ix_reclaim``
-  ``_sa``        ``total  << 20 | pos``                  ``_ix_allidle``
-  ``_sb``        ``total  << 20 | pos``                  ``_ix_busy``
-  ``_sq``        ``total  << 44 | seq``                  ``_ix_blank``
-  ``_ie[cno]``   ``avail  << 44 | seq``                  ``_ix_idle_entries``
-  =============  ======================================  =================
+  =============  ======================================  ========================
+  array          packing                                 answers
+  =============  ======================================  ========================
+  ``_sp``        ``avail  << 20 | pos``                  best partially-blank node
+  ``_sr``        ``reclaim << 20 | pos``                 FindAnyIdleNode prefilter
+  ``_sa``        ``total  << 20 | pos``                  same, full mode
+  ``_sb``        ``total  << 20 | pos``                  busy-candidate check
+  ``_sq``        ``total  << 44 | seq``                  best blank node
+  ``_ie[cno]``   ``avail  << 44 | seq``                  best idle entry
+  =============  ======================================  ========================
 
-* **load aggregates** — the same exact big-int sums as the object manager
-  (``Σ busy·w`` over the lcm denominator) plus one sorted list of
-  ``(load, pos)`` pairs for the max;
+* **load aggregates** — exact big-int sums (``Σ busy·w`` over the lcm
+  denominator, so an all-idle system reports exactly zero) plus one sorted
+  list of ``(load, pos)`` pairs for the max;
 * **suspension queue** — :class:`ArraySuspensionQueue` stores records in
   parallel columns with free-list slot recycling; the record handle is the
   (truthy, ≥ 1) slot integer.
@@ -43,12 +44,13 @@ steps the reference scan would explore, every mutation charges the same
 housekeeping steps *in the same order relative to trace emissions* (the bus
 stamps cumulative counters into each event), and chain sequence numbers are
 allocated at exactly the same points — so trace digests are byte-for-byte
-identical to both object backends, clean and under fault campaigns
+identical to the reference scan manager, clean and under fault campaigns
 (``tests/test_array_differential.py``).
 
 The array backend requires the paper's homogeneous single-family system
-(the packed keys cannot encode per-pair compatibility); the
-:func:`create_manager` seam falls back to the object manager otherwise.
+(the packed keys cannot encode per-pair compatibility);
+:func:`repro.resources.resolve_backend` routes other systems to the scan
+manager.
 """
 
 from __future__ import annotations
@@ -87,13 +89,12 @@ _SEQ_MASK = (1 << _SEQ_BITS) - 1
 class ArrayRIM:
     """Flat-table resource information manager (``backend="array"``).
 
-    Same public surface and identical simulated-step/trace behaviour as
-    ``ResourceInformationManager(indexed=True)``; see the module docstring
-    for the layout.  ``indexed`` is a class attribute (always ``True``) so
-    the scheduler and load balancer take their indexed code paths.
+    Same public surface and identical simulated-step/trace behaviour as the
+    reference :class:`~repro.resources.manager.ResourceInformationManager`;
+    see the module docstring for the layout.  The scheduler and the load
+    balancer read the ``backend`` class attribute to take their fast paths.
     """
 
-    indexed = True
     backend = "array"
 
     def __init__(
@@ -118,7 +119,7 @@ class ArrayRIM:
         ):
             raise ConfigurationError(
                 "the array backend requires a homogeneous (family-free) system; "
-                "use create_manager() for the automatic object-manager fallback"
+                "use create_manager(), which routes family systems to the scan manager"
             )
         if len(self.nodes) > _POS_MASK:
             raise ValueError(f"array backend supports at most {_POS_MASK} nodes")
@@ -188,7 +189,7 @@ class ArrayRIM:
             self._load_sumsq_i += b * b
         self._sl.sort()
 
-        # Populate chains and query arrays in the object manager's exact
+        # Populate chains and query arrays in the scan manager's exact
         # construction order (sequence numbers must match for tie-breaks).
         for i, node in enumerate(self.nodes):
             if node.is_blank:
@@ -224,11 +225,6 @@ class ArrayRIM:
             self.running_tasks_count += bc
 
     # -- structure maintenance ----------------------------------------------
-
-    @property
-    def fast_queries_active(self) -> bool:
-        """Always true: the array backend only exists in indexed form."""
-        return True
 
     def _next_seq(self) -> int:
         self._chain_seq += 1
@@ -725,7 +721,7 @@ class ArrayRIM:
     # -- failure injection ----------------------------------------------------
 
     def fail_node(self, node: Node, cls: str = "crash") -> list[Task]:
-        """Take a node out of service; see the object manager for semantics."""
+        """Take a node out of service; see the scan manager for semantics."""
         if not node.in_service:
             raise ConfigurationError(f"node {node.node_no} is already failed")
         interrupted: list[Task] = []
@@ -1092,7 +1088,7 @@ class ArrayRIM:
     def restore_state(self, state: dict, task_of: Callable[[int], Task]) -> None:
         """Rebuild the dynamic state captured by :meth:`export_state`.
 
-        Same preconditions as the object manager's ``restore_state``: a
+        Same preconditions as the scan manager's ``restore_state``: a
         freshly constructed manager over the same static system.  No step
         charging — counter values travel in the snapshot.
         """
@@ -1229,7 +1225,7 @@ class ArrayRIM:
         check_invariants`: the shared object-level invariants (I1, I6–I9,
         I11) run unchanged; this verifies the mirror columns, the packed
         sorted arrays, the chain dicts and the load sums — the structures
-        the object backends cover with I2–I5 and I10.
+        the scan manager covers with its chain validation (I2–I5, I10).
         """
         from repro.resources.invariants import InvariantViolation
 

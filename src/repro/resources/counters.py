@@ -41,18 +41,9 @@ class SearchCounters:
             raise ValueError("steps must be non-negative")
         self.housekeeping_steps += steps
 
-    def charge_scheduling_many(self, steps: int) -> None:
-        """Batched scheduling charge for an indexed fast-path query.
-
-        The indexed resource manager answers a query in O(log n) Python work
-        but must bill exactly the steps the reference linear scan *would*
-        have explored; this is the single bulk charge that replaces the
-        scan's per-link :meth:`charge_scheduling` calls.
-        """
-        self.charge_scheduling(steps)
-
     def charge_housekeeping_many(self, steps: int) -> None:
-        """Batched housekeeping charge (bulk counterpart, same contract)."""
+        """Batched housekeeping charge: one bulk charge standing in for the
+        per-link :meth:`charge_housekeeping` calls of a simulated walk."""
         self.charge_housekeeping(steps)
 
     def snapshot(self) -> dict[str, int]:

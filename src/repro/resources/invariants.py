@@ -17,8 +17,10 @@ I7.  No task appears on two entries.
 I8.  Failed nodes hold no entries.
 I9.  Incremental aggregates (state counts, wasted/configured area, running
      tasks, per-node busy count/area) match brute-force recomputation.
-I10. The indexed-mode sorted indexes and step-formula aggregates agree with
-     the node table and chains (contents, keys, and tie-break ordering).
+I10. Chain append stamps (the sequence numbers snapshots export) strictly
+     increase along the blank chain and every idle chain; on the array
+     backend the sorted query arrays and step-formula aggregates also agree
+     with the node table and chains (contents, keys, tie-break ordering).
 I11. Quarantined nodes are consistently held out: each quarantine-table
      entry keys its node's number, the node is out of service, holds no
      entries, and appears in no chain or index (implied by I5/I8/I10).
@@ -49,12 +51,11 @@ def check_invariants(rim: "AnyRIM") -> None:
 
     Backend-neutral: the object-level invariants (I1, I3–I9, I11) read only
     the public manager surface (``nodes``, ``configs``, the chain views and
-    the aggregate accessors), so they run unchanged against every backend.
-    The structural half (I2 chain links, I10 sorted indexes) is
-    backend-specific: a manager exposing a ``validate_structures`` hook (the
-    array backend) verifies its own flat tables through it; the object
-    managers validate their intrusive chains and ``SortedKeyIndex`` mirrors
-    here.
+    the aggregate accessors), so they run unchanged against both backends.
+    The structural half (I2 chain links, I10 append stamps and sorted
+    arrays) is backend-specific: the array backend verifies its flat tables
+    through its ``validate_structures`` hook; the scan manager's intrusive
+    chains and stamps are validated here.
     """
     node_set = set(id(n) for n in rim.nodes)
 
@@ -76,6 +77,7 @@ def check_invariants(rim: "AnyRIM") -> None:
     else:
         for chain in list(rim._idle.values()) + list(rim._busy.values()) + [rim.blank_chain]:
             chain.validate()
+        _check_append_stamps(rim)
 
     # Gather ground truth from the node table.
     idle_truth: dict[int, set[int]] = {}
@@ -217,11 +219,6 @@ def check_invariants(rim: "AnyRIM") -> None:
             f"{expected_running}"
         )
 
-    # I10 — sorted indexes and step-formula aggregates (object backends;
-    # the array backend covered its structures in validate_structures above).
-    if structured is None:
-        _check_indexes(rim)
-
     # I11 — quarantine-table consistency: a quarantined node is a failed node
     # (out of service, blank) registered under its own number; it can appear
     # in no chain or index because I5/I8/I10 already exclude failed nodes.
@@ -240,138 +237,24 @@ def check_invariants(rim: "AnyRIM") -> None:
             )
 
 
-def _check_indexes(rim: "ResourceInformationManager") -> None:
-    """I10: every fast-path index mirrors the table/chain ground truth.
+def _check_append_stamps(rim: "ResourceInformationManager") -> None:
+    """I10 (scan manager): append stamps increase along each chain.
 
-    The indexes are maintained in both modes (they are cheap and keep
-    ``_track`` uniform), so this check is unconditional.
+    Entries on an out-of-service node are skipped: a node constructed
+    failed chains its entries without stamping them.
     """
-    for ix in (
-        rim._ix_partial,
-        rim._ix_reclaim,
-        rim._ix_allidle,
-        rim._ix_busy,
-        rim._ix_blank,
-        rim._configs_by_area,
-        *rim._ix_idle_entries.values(),
-    ):
-        ix.validate()
 
-    def expect_nodes(ix, truth: dict, label: str) -> None:
-        members = {}
-        for key, node in ix:
-            members[id(node)] = key
-        if set(members) != set(truth):
-            raise InvariantViolation(
-                f"I10: index {label} holds {len(members)} nodes, expected {len(truth)}"
-            )
-        for nid, key in members.items():
-            if key != truth[nid]:
-                raise InvariantViolation(
-                    f"I10: index {label} key {key!r} != expected {truth[nid]!r}"
-                )
+    def increasing(stamps: list[int], label: str) -> None:
+        if any(a >= b for a, b in zip(stamps, stamps[1:])) or (
+            stamps and stamps[-1] > rim._chain_seq
+        ):
+            raise InvariantViolation(f"I10: {label} append stamps out of order: {stamps}")
 
-    live = [n for n in rim.nodes if n.in_service and n.entries]
-    pos = rim._node_pos
-    expect_nodes(
-        rim._ix_partial, {id(n): (n.available_area, pos[n]) for n in live}, "partial"
-    )
-    expect_nodes(
-        rim._ix_reclaim,
-        {id(n): (n.total_area - n.busy_area, pos[n]) for n in live},
-        "reclaim",
-    )
-    expect_nodes(
-        rim._ix_allidle,
-        {id(n): (n.total_area, pos[n]) for n in live if not n.busy_count},
-        "allidle",
-    )
-    expect_nodes(
-        rim._ix_busy,
-        {id(n): (n.total_area, pos[n]) for n in live if n.busy_count},
-        "busy",
-    )
-
-    # Blank index mirrors the blank chain, keys carry total area, and the
-    # sequence tie-break component reproduces chain (append) order.
-    blank_chain_ids = [id(n) for n in rim.blank_chain]
-    blank_index_ids = [id(n) for n in rim._ix_blank.items()]
-    if set(blank_chain_ids) != set(blank_index_ids):
-        raise InvariantViolation("I10: blank index != blank chain membership")
-    for key, node in rim._ix_blank:
-        if key[0] != node.total_area:
-            raise InvariantViolation(
-                f"I10: blank index key {key!r} != total area {node.total_area}"
-            )
-    seq_order = sorted(rim._ix_blank, key=lambda kv: kv[0][1])
-    if [id(n) for _, n in seq_order] != blank_chain_ids:
-        raise InvariantViolation("I10: blank index sequence order != chain order")
-
-    # Idle-entry indexes mirror the idle chains (in-service nodes only; a
-    # pre-failed node's chained entries are deliberately unindexed).
+    increasing([getattr(n, "_blank_seq") for n in rim.blank_chain], "blank chain")
     for cno, chain in rim._idle.items():
-        ix = rim._ix_idle_entries[cno]
-        chain_ids = []
-        for entry in chain:
-            node = rim._node_of(entry)
-            if node.in_service:
-                chain_ids.append(id(entry))
-                key = getattr(entry, "_idle_key", None)
-                if key is None or key[0] != node.available_area:
-                    raise InvariantViolation(
-                        f"I10: idle entry key {key!r} stale for C{cno} "
-                        f"(node avail {node.available_area})"
-                    )
-        index_ids = [id(e) for e in ix.items()]
-        if set(chain_ids) != set(index_ids):
-            raise InvariantViolation(
-                f"I10: idle-entry index C{cno} size {len(index_ids)} != "
-                f"chain {len(chain_ids)}"
-            )
-        seq_sorted = sorted(ix, key=lambda kv: kv[0][1])
-        if [id(e) for _, e in seq_sorted] != chain_ids:
-            raise InvariantViolation(
-                f"I10: idle-entry index C{cno} sequence order != chain order"
-            )
-
-    # Step-formula aggregates.
-    expected_entries_total = sum(len(n.entries) for n in rim.nodes if n.in_service)
-    if rim._entries_total != expected_entries_total:
-        raise InvariantViolation(
-            f"I10: _entries_total {rim._entries_total} != {expected_entries_total}"
-        )
-    expected_idle_node_entries = sum(
-        len(n.entries)
-        for n in rim.nodes
-        if n.in_service and n.entries and not n.busy_count
-    )
-    if rim._idle_node_entries != expected_idle_node_entries:
-        raise InvariantViolation(
-            f"I10: _idle_node_entries {rim._idle_node_entries} != "
-            f"{expected_idle_node_entries}"
-        )
-    expected_failed = sum(1 for n in rim.nodes if not n.in_service)
-    if rim._failed_count != expected_failed:
-        raise InvariantViolation(
-            f"I10: _failed_count {rim._failed_count} != {expected_failed}"
-        )
-
-    # Load index: exact keys; the integer sums must match brute force exactly.
-    expect_nodes(
-        rim._ix_load,
-        # dreamlint: disable=DL002 (mirrors the manager's float load-index keys)
-        {id(n): (n.busy_area / n.total_area, pos[n]) for n in rim.nodes},
-        "load",
-    )
-    true_s1 = true_s2 = 0
-    for n in rim.nodes:
-        b = n.busy_area * rim._load_w[pos[n]]
-        true_s1 += b
-        true_s2 += b * b
-    if rim._load_sum_i != true_s1 or rim._load_sumsq_i != true_s2:
-        raise InvariantViolation(
-            f"I10: load sums ({rim._load_sum_i}, {rim._load_sumsq_i}) "
-            f"!= brute force ({true_s1}, {true_s2})"
+        increasing(
+            [getattr(e, "_idle_seq") for e in chain if rim._node_of(e).in_service],
+            f"idle chain C{cno}",
         )
 
 

@@ -12,30 +12,23 @@ counter passed by the scheduler (per-task ``SL``); every link touched during
 a *mutation* (configure/assign/complete/evict) charges housekeeping, matching
 the paper's split between "scheduling steps" and "scheduler workload".
 
-Simulated steps vs wall-clock (``indexed`` mode)
-------------------------------------------------
-The paper's metrics count *simulated* search steps, but a naive Python port
-also pays real O(nodes)/O(configs) loops for every query.  With
-``indexed=True`` (the default) the manager answers its best-fit queries from
-area-ordered indexes — an O(1) ``config_no`` dict plus a ``req_area``-sorted
-configurations list, per-configuration idle-entry indexes, and node indexes
-keyed by available/total/reclaimable area, all maintained inside
-:meth:`_track` — while **billing exactly the steps the reference linear scan
-would have explored** (bulk-charged via
-:meth:`SearchCounters.charge_scheduling_many`).  ``indexed=False`` keeps the
-original scan implementations as the differential-testing reference; both
-modes produce bit-identical placements, Table I counters, and per-task
-``SL`` on any workload (``tests/test_indexed_differential.py``).
+The reference tier (``backend="scan"``)
+---------------------------------------
+Every query here is the literal linear scan of the paper, charging one
+step per link it visits.  That makes this class the executable
+specification: the flat-table :class:`repro.resources.arraycore.ArrayRIM`
+answers the same queries from sorted arrays in O(log n) while billing
+exactly the steps these scans explore, and the differential suite
+(``tests/test_array_differential.py``) holds the two to bit-identical
+placements, Table I counters, per-task ``SL`` and trace digests.
 
-The fast paths assume the paper's homogeneous single-family system; when any
-node or configuration declares a device family, queries transparently fall
-back to the reference scans (the indexes cannot encode per-pair
-compatibility filters).
+This manager is also the only one that handles heterogeneous systems:
+every scan applies the per-pair device-family compatibility filter, so
+:func:`repro.resources.resolve_backend` routes family systems here.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.model.config import Configuration
@@ -44,7 +37,6 @@ from repro.model.node import ConfigTaskEntry, Node
 from repro.model.task import Task
 from repro.resources.chains import IntrusiveChain
 from repro.resources.counters import SearchCounters
-from repro.resources.indexes import SortedKeyIndex
 from repro.trace.bus import TraceBus
 from repro.trace.events import (
     CONFIG_EVICTED,
@@ -70,28 +62,24 @@ class ResourceInformationManager:
         in this list trigger the closest-match path.
     counters:
         Shared search-step counters; a fresh one is created if omitted.
-    indexed:
-        ``True`` (default) answers queries from the area-ordered indexes
-        with batched step charging; ``False`` runs the reference linear
-        scans (same results, same counters, O(n) wall-clock).
     trace:
         Optional :class:`repro.trace.TraceBus`; when attached, every
         configuration load/evict and node fail/repair emits a structured
         event.  ``None`` (default) costs one attribute check per mutation.
     """
 
+    backend = "scan"
+
     def __init__(
         self,
         nodes: Sequence[Node],
         configs: Sequence[Configuration],
         counters: Optional[SearchCounters] = None,
-        indexed: bool = True,
         trace: Optional[TraceBus] = None,
     ) -> None:
         self.nodes: list[Node] = list(nodes)
         self.configs: list[Configuration] = list(configs)
         self.counters = counters if counters is not None else SearchCounters()
-        self.indexed = indexed
         self.trace = trace
 
         seen_nos = set()
@@ -100,14 +88,11 @@ class ResourceInformationManager:
                 raise ValueError(f"duplicate config_no {c.config_no} in configurations list")
             seen_nos.add(c.config_no)
 
-        # Static configuration indexes (kept in both modes: they back the
-        # uncharged peek_* helpers used by the scheduler's memoised matching).
-        self._config_by_no: dict[int, tuple[int, Configuration]] = {
-            c.config_no: (i, c) for i, c in enumerate(self.configs)
+        # Static config_no lookup backing the uncharged peek_* helpers used
+        # by the scheduler's memoised matching.
+        self._config_by_no: dict[int, Configuration] = {
+            c.config_no: c for c in self.configs
         }
-        self._configs_by_area = SortedKeyIndex("configs-by-area")
-        for i, c in enumerate(self.configs):
-            self._configs_by_area.add((c.req_area, i), c)
 
         self._idle: dict[int, IntrusiveChain] = {
             c.config_no: IntrusiveChain(f"idle[C{c.config_no}]") for c in self.configs
@@ -121,29 +106,13 @@ class ResourceInformationManager:
         # Eq. 10, from which total configuration time is computed.
         self.reconfig_count_by_config: dict[int, int] = {c.config_no: 0 for c in self.configs}
 
-        # Fast queries need the homogeneous (no device families) system the
-        # paper simulates; heterogeneous setups use the reference scans.
-        self._homogeneous = all(c.family is None for c in self.configs) and all(
-            n.family is None for n in self.nodes
-        )
-
-        # Node indexes and step-formula aggregates (indexed mode).  Keys embed
-        # the node's position in the table (or a chain sequence number) so
-        # index order reproduces the scans' first-strict-minimum tie-breaks.
+        # Table positions, for the backend-neutral snapshot format.
         self._node_pos: dict[Node, int] = {n: i for i, n in enumerate(self.nodes)}
-        self._ix_partial = SortedKeyIndex("partial-by-available")  # non-blank, in service
-        self._ix_reclaim = SortedKeyIndex("nodes-by-reclaimable")  # non-blank, in service
-        self._ix_allidle = SortedKeyIndex("allidle-by-total")  # non-blank, no busy entry
-        self._ix_busy = SortedKeyIndex("busy-by-total")  # >=1 busy entry, in service
-        self._ix_blank = SortedKeyIndex("blank-by-total")  # mirrors the blank chain
-        self._ix_idle_entries: dict[int, SortedKeyIndex] = {
-            c.config_no: SortedKeyIndex(f"idle-entries[C{c.config_no}]")
-            for c in self.configs
-        }
-        self._entries_total = 0  # Σ len(entries) over in-service nodes
-        self._idle_node_entries = 0  # Σ len(entries) over all-idle non-blank nodes
-        self._failed_count = sum(1 for n in self.nodes if not n.in_service)
-        self._chain_seq = 0  # monotonically increasing append stamp
+        # Monotonically increasing append stamp: every append to the blank
+        # chain or an idle chain draws one (``_blank_seq`` / ``_idle_seq``).
+        # Snapshots carry the stamps, and the array backend allocates them
+        # at exactly the same points, so restores work across backends.
+        self._chain_seq = 0
         # Quarantined nodes: repaired hardware held out of service until a
         # probation deadline (node_no -> (node, release deadline)).  Strictly
         # opt-in: the dict stays empty unless a health policy quarantines,
@@ -154,42 +123,29 @@ class ResourceInformationManager:
         # failure/quarantine spans from either path.
         self.on_quarantine_release = None
 
-        # Incremental per-node utilization statistics (busy area / total
-        # area), serving the load balancer's per-completion sampling in O(1).
-        # The sums are exact integers over a common denominator (the lcm of
-        # the node areas), so they never drift: Σ load = Σ busy_i·w_i / den
-        # with w_i = den / total_i.  In particular an all-idle system reports
-        # exactly zero, matching the reference per-node walk bit for bit.
-        self._ix_load = SortedKeyIndex("nodes-by-load")
-        self._load_den = math.lcm(*(n.total_area for n in self.nodes)) if self.nodes else 1
-        self._load_den_sq = self._load_den * self._load_den
-        self._load_w = [self._load_den // n.total_area for n in self.nodes]
-        self._load_sum_i = 0
-        self._load_sumsq_i = 0
-        for i, n in enumerate(self.nodes):
-            # dreamlint: disable=DL002 (load-index keys are float ratios by design; the accounted sums stay integer)
-            self._ix_load.add((n.busy_area / n.total_area, i), n)
-            b = n.busy_area * self._load_w[i]
-            self._load_sum_i += b
-            self._load_sumsq_i += b * b
-
         for node in self.nodes:
             if node.is_blank:
                 if node.in_service:
-                    self._blank.append(node)
-                    self._blank_add(node)
+                    self._blank_append(node)
             else:
                 self._used_nodes.add(node.node_no)
                 for entry in node.entries:
                     setattr(entry, "_node", node)
                     self._chain_for(entry).append(entry)
                     if entry.is_idle and node.in_service:
-                        self._idle_add(entry, node)
-            self._node_add(node)
+                        setattr(entry, "_idle_seq", self._next_seq())
 
-        # Incremental system aggregates (kept exact by _track around every
-        # node mutation; cross-checked by invariant I9).  These make the
-        # per-event monitoring O(1) instead of O(nodes).
+        self._recount_aggregates()
+
+    # -- aggregate bookkeeping ------------------------------------------------------
+
+    def _recount_aggregates(self) -> None:
+        """Recompute the incremental system aggregates from the node table.
+
+        ``_track`` keeps them exact around every node mutation afterwards
+        (cross-checked by invariant I9); they make the per-event monitoring
+        O(1) instead of O(nodes).
+        """
         self.state_counts: dict[str, int] = {"blank": 0, "idle": 0, "busy": 0}
         self._wasted_total = 0
         self._configured_total = 0
@@ -199,8 +155,6 @@ class ResourceInformationManager:
             self._wasted_total += self._waste_of(node)
             self._configured_total += node.configured_area
             self.running_tasks_count += node.busy_count
-
-    # -- aggregate bookkeeping ------------------------------------------------------
 
     @staticmethod
     def _state_key(node: Node) -> str:
@@ -214,146 +168,39 @@ class ResourceInformationManager:
         return 0 if node.is_blank else node.available_area
 
     def _track(self, node: Node, mutate):
-        """Run a node mutation, keeping aggregates and indexes exact.
+        """Run a node mutation, keeping the system aggregates exact.
 
-        Snapshots the node's key attributes, runs the mutation, then patches
-        only the indexes whose keys or membership actually changed — an
-        assign/complete touches the busy-keyed structures but not the
-        available-area ones, a configure/evict the reverse.  (``in_service``
+        Subtracts the node's contribution to every aggregate, runs the
+        mutation, then adds the new contribution back.  (``in_service``
         never changes inside a tracked mutation; fail/repair toggle it
         outside.)
         """
-        pos = self._node_pos[node]
-        total = node.total_area
-        live0 = node.in_service and bool(node.entries)
-        avail0 = node.available_area
-        busy_area0 = node.busy_area
-        busy0 = node.busy_count
-        n_entries0 = len(node.entries)
         self.state_counts[self._state_key(node)] -= 1
         self._wasted_total -= self._waste_of(node)
-        self._configured_total -= total - avail0
-        self.running_tasks_count -= busy0
+        self._configured_total -= node.configured_area
+        self.running_tasks_count -= node.busy_count
 
         result = mutate()
 
-        live1 = node.in_service and bool(node.entries)
-        avail1 = node.available_area
-        busy_area1 = node.busy_area
-        busy1 = node.busy_count
-        n_entries1 = len(node.entries)
         self.state_counts[self._state_key(node)] += 1
         self._wasted_total += self._waste_of(node)
-        self._configured_total += total - avail1
-        self.running_tasks_count += busy1
-
-        if live0 != live1 or avail0 != avail1:
-            if live0:
-                self._ix_partial.discard((avail0, pos), node)
-            if live1:
-                self._ix_partial.add((avail1, pos), node)
-        if live0 != live1 or busy_area0 != busy_area1:
-            if live0:
-                self._ix_reclaim.discard((total - busy_area0, pos), node)
-            if live1:
-                self._ix_reclaim.add((total - busy_area1, pos), node)
-        busy_member0 = live0 and busy0 > 0
-        busy_member1 = live1 and busy1 > 0
-        idle_member0 = live0 and busy0 == 0
-        idle_member1 = live1 and busy1 == 0
-        total_key = (total, pos)
-        if busy_member0 != busy_member1:
-            if busy_member0:
-                self._ix_busy.discard(total_key, node)
-            else:
-                self._ix_busy.add(total_key, node)
-        if idle_member0 != idle_member1:
-            if idle_member0:
-                self._ix_allidle.discard(total_key, node)
-            else:
-                self._ix_allidle.add(total_key, node)
-        self._entries_total += (n_entries1 if live1 else 0) - (
-            n_entries0 if live0 else 0
-        )
-        self._idle_node_entries += (n_entries1 if idle_member1 else 0) - (
-            n_entries0 if idle_member0 else 0
-        )
-        if avail0 != avail1:
-            self._rekey_idle_entries(node)
-        if busy_area0 != busy_area1:
-            self._ix_load.discard((busy_area0 / total, pos), node)  # dreamlint: disable=DL002 (load-index keys are float by design)
-            self._ix_load.add((busy_area1 / total, pos), node)  # dreamlint: disable=DL002 (load-index keys are float by design)
-            # b² − a² as (b−a)(b+a): one big-int multiply instead of two
-            # squarings (the weights are lcm-sized integers).
-            w = self._load_w[pos]
-            d = (busy_area1 - busy_area0) * w
-            self._load_sum_i += d
-            self._load_sumsq_i += d * ((busy_area1 + busy_area0) * w)
+        self._configured_total += node.configured_area
+        self.running_tasks_count += node.busy_count
         return result
-
-    # -- index maintenance (indexed mode) -----------------------------------------
-
-    @property
-    def fast_queries_active(self) -> bool:
-        """True when queries are answered from the indexes (homogeneous system)."""
-        return self.indexed and self._homogeneous
-
-    def _node_add(self, node: Node) -> None:
-        """Insert a node's contributions into every node index (construction)."""
-        if not node.in_service or not node.entries:
-            return
-        pos = self._node_pos[node]
-        self._ix_partial.add((node.available_area, pos), node)
-        self._ix_reclaim.add((node.total_area - node.busy_area, pos), node)
-        if node.busy_count:
-            self._ix_busy.add((node.total_area, pos), node)
-        else:
-            self._ix_allidle.add((node.total_area, pos), node)
-            self._idle_node_entries += len(node.entries)
-        self._entries_total += len(node.entries)
 
     def _next_seq(self) -> int:
         self._chain_seq += 1
         return self._chain_seq
 
-    def _idle_add(self, entry: ConfigTaskEntry, node: Node) -> None:
-        """Index an entry just appended to its configuration's idle chain."""
-        seq = self._next_seq()
-        key = (node.available_area, seq)
-        setattr(entry, "_idle_seq", seq)
-        setattr(entry, "_idle_key", key)
-        self._ix_idle_entries[entry.config.config_no].add(key, entry)
+    def _blank_append(self, node: Node) -> None:
+        """Append a node to the blank chain, stamping its sequence number."""
+        self._blank.append(node)
+        setattr(node, "_blank_seq", self._next_seq())
 
-    def _idle_discard(self, entry: ConfigTaskEntry) -> None:
-        """Unindex an entry leaving its configuration's idle chain."""
-        key = getattr(entry, "_idle_key", None)
-        if key is not None:
-            self._ix_idle_entries[entry.config.config_no].discard(key, entry)
-            setattr(entry, "_idle_key", None)
-
-    def _rekey_idle_entries(self, node: Node) -> None:
-        """Refresh idle-entry keys after the node's available area changed."""
-        avail = node.available_area
-        for entry in node.entries:
-            key = getattr(entry, "_idle_key", None)
-            if key is not None and key[0] != avail:
-                ix = self._ix_idle_entries[entry.config.config_no]
-                ix.discard(key, entry)
-                new_key = (avail, key[1])
-                setattr(entry, "_idle_key", new_key)
-                ix.add(new_key, entry)
-
-    def _blank_add(self, node: Node) -> None:
-        seq = self._next_seq()
-        key = (node.total_area, seq)
-        setattr(node, "_blank_key", key)
-        self._ix_blank.add(key, node)
-
-    def _blank_discard(self, node: Node) -> None:
-        key = getattr(node, "_blank_key", None)
-        if key is not None:
-            self._ix_blank.discard(key, node)
-            setattr(node, "_blank_key", None)
+    def _idle_append(self, entry: ConfigTaskEntry) -> None:
+        """Append an entry to its idle chain, stamping its sequence number."""
+        self._idle[entry.config.config_no].append(entry)
+        setattr(entry, "_idle_seq", self._next_seq())
 
     # -- chain helpers -----------------------------------------------------------
 
@@ -386,45 +233,29 @@ class ResourceInformationManager:
     # -- configuration lookup (FindPreferredConfig / FindClosestConfig) ----------
 
     def peek_preferred_config(self, pref: Configuration) -> Optional[Configuration]:
-        """Uncharged exact-match lookup (O(1) dict hit).
-
-        Shared by the charged :meth:`find_preferred_config` fast path and the
-        scheduler's memoised silent matching — one implementation, two
-        charging regimes.
-        """
-        hit = self._config_by_no.get(pref.config_no)
-        return hit[1] if hit is not None else None
+        """Uncharged exact-match lookup (O(1) dict hit), for the scheduler's
+        memoised silent matching."""
+        return self._config_by_no.get(pref.config_no)
 
     def config_with_no(self, config_no: int) -> Optional[Configuration]:
         """Uncharged O(1) lookup of a configuration by number."""
-        hit = self._config_by_no.get(config_no)
-        return hit[1] if hit is not None else None
+        return self._config_by_no.get(config_no)
 
     def peek_closest_config(self, pref: Configuration) -> Optional[Configuration]:
-        """Uncharged closest-match lookup (O(log m) bisect).
-
-        The configuration with minimal ``ReqArea`` among those ≥ the
-        preference's, earliest list position on area ties — exactly the
-        reference scan's answer.
-        """
-        return self._configs_by_area.first_at_least((pref.req_area,))
+        """Uncharged closest-match lookup: the configuration with minimal
+        ``ReqArea`` among those ≥ the preference's, earliest on ties."""
+        best: Optional[Configuration] = None
+        for c in self.configs:
+            if c.req_area >= pref.req_area and (best is None or c.req_area < best.req_area):
+                best = c
+        return best
 
     def find_preferred_config(self, pref: Configuration) -> Optional[Configuration]:
         """Linear search of the configurations list for the exact match.
 
         "Currently, a simple linear search is employed" — each element
-        visited charges one scheduling step.  The indexed mode answers from
-        the ``config_no`` dict and bulk-charges the steps the scan would
-        have taken (elements up to and including the hit, or the whole list
-        on a miss).
+        visited charges one scheduling step.
         """
-        if self.indexed:
-            hit = self._config_by_no.get(pref.config_no)
-            if hit is None:
-                self.counters.charge_scheduling_many(len(self.configs))
-                return None
-            self.counters.charge_scheduling_many(hit[0] + 1)
-            return hit[1]
         for c in self.configs:
             self.counters.charge_scheduling()
             if c is pref or c.config_no == pref.config_no:
@@ -435,18 +266,11 @@ class ResourceInformationManager:
         """The config with minimal ``ReqArea`` among those ≥ the preference's.
 
         Returns ``None`` when every configuration is smaller than the
-        preferred area — the task is then discarded (§V).  Both modes charge
-        one step per configuration (the scan never stops early).
+        preferred area — the task is then discarded (§V).  The scan never
+        stops early, so it charges one step per configuration.
         """
-        if self.indexed:
-            self.counters.charge_scheduling_many(len(self.configs))
-            return self.peek_closest_config(pref)
-        best: Optional[Configuration] = None
-        for c in self.configs:
-            self.counters.charge_scheduling()
-            if c.req_area >= pref.req_area and (best is None or c.req_area < best.req_area):
-                best = c
-        return best
+        self.counters.charge_scheduling(len(self.configs))
+        return self.peek_closest_config(pref)
 
     # -- scheduler queries (FindBestNode / FindBestBlankNode / ...) ----------------
 
@@ -454,12 +278,8 @@ class ResourceInformationManager:
         """Best direct-allocation target: idle entry whose node has minimum
         ``AvailableArea`` (§V: "so that the nodes with larger AvailableArea
         are utilized for later re-configurations")."""
-        chain = self._idle[config.config_no]
-        if self.fast_queries_active:
-            self.counters.charge_scheduling_many(len(chain))
-            return self._ix_idle_entries[config.config_no].min_item()
         best: Optional[ConfigTaskEntry] = None
-        for entry in chain:
+        for entry in self._idle[config.config_no]:
             self.counters.charge_scheduling()
             node = self._node_of(entry)
             if not node.in_service:
@@ -470,9 +290,6 @@ class ResourceInformationManager:
 
     def find_best_blank_node(self, config: Configuration) -> Optional[Node]:
         """Blank node with minimal sufficient ``TotalArea`` for ``config``."""
-        if self.fast_queries_active:
-            self.counters.charge_scheduling_many(len(self._blank))
-            return self._ix_blank.first_at_least((config.req_area,))
         best: Optional[Node] = None
         for node in self._blank:
             self.counters.charge_scheduling()
@@ -491,9 +308,6 @@ class ResourceInformationManager:
 
         Charges one scheduling step per configured (non-blank) node examined.
         """
-        if self.fast_queries_active:
-            self.counters.charge_scheduling_many(self._configured_node_count())
-            return self._ix_partial.first_at_least((config.req_area,))
         best: Optional[Node] = None
         for node in self.nodes:
             if node.is_blank:
@@ -507,10 +321,6 @@ class ResourceInformationManager:
                 if best is None or node.available_area < best.available_area:
                     best = node
         return best
-
-    def _configured_node_count(self) -> int:
-        """Nodes currently holding ≥ 1 configuration (failed nodes are blank)."""
-        return len(self.nodes) - self.state_counts["blank"]
 
     def find_any_idle_node(
         self, config: Configuration, require_all_idle: bool = False
@@ -526,44 +336,7 @@ class ResourceInformationManager:
         ``require_all_idle`` restricts candidates to nodes with no running
         task — the *without partial reconfiguration* scenario, where reuse
         means blanking and reconfiguring a whole idle node.
-
-        Indexed mode prefilters on the reclaimable-area indexes: when no
-        node can possibly host the configuration, the query bulk-charges the
-        full scan's steps and returns immediately; otherwise the reference
-        scan runs (it terminates at the first candidate).
         """
-        req = config.req_area
-        if self.fast_queries_active:
-            if require_all_idle:
-                feasible = self._ix_allidle.has_key_at_least((req,))
-            else:
-                feasible = self._ix_reclaim.has_key_at_least((req,))
-            if not feasible:
-                self.counters.charge_scheduling_many(
-                    self._failed_scan_steps(require_all_idle)
-                )
-                return None, []
-        return self._scan_any_idle_node(config, require_all_idle)
-
-    def _failed_scan_steps(self, require_all_idle: bool) -> int:
-        """Steps the Alg. 1 scan explores when no candidate exists.
-
-        A failed search visits every node: failed and (in full mode) busy
-        nodes cost one step each, in-service blank nodes one step each, and
-        every entry of each remaining candidate node is examined.
-        """
-        if require_all_idle:
-            return (
-                self._failed_count
-                + self.state_counts["busy"]
-                + len(self._blank)
-                + self._idle_node_entries
-            )
-        return self._failed_count + len(self._blank) + self._entries_total
-
-    def _scan_any_idle_node(
-        self, config: Configuration, require_all_idle: bool
-    ) -> tuple[Optional[Node], list[ConfigTaskEntry]]:
         req = config.req_area
         for node in self.nodes:
             if not node.in_service or not config.compatible_with_node_family(node.family):
@@ -598,14 +371,8 @@ class ResourceInformationManager:
         """§V last resort: any *busy* node whose ``TotalArea`` could ever
         host the configuration (the task is then worth suspending).
 
-        Indexed mode prefilters on the busy-node total-area index: a
-        definite "no" bulk-charges the full scan; a "yes" re-runs the scan,
-        which stops at the first candidate (charging its position).
+        The scan stops at the first candidate, charging its position.
         """
-        if self.fast_queries_active:
-            if not self._ix_busy.has_key_at_least((config.req_area,)):
-                self.counters.charge_scheduling_many(len(self.nodes))
-                return False
         for node in self.nodes:
             self.counters.charge_scheduling()
             if node.in_service and node.state.value == "busy" and node.total_area >= config.req_area:
@@ -622,10 +389,8 @@ class ResourceInformationManager:
         setattr(entry, "_node", node)
         if was_blank and node in self._blank:
             self._blank.remove(node)
-            self._blank_discard(node)
             self.counters.charge_housekeeping()
-        self._idle[config.config_no].append(entry)
-        self._idle_add(entry, node)
+        self._idle_append(entry)
         self.counters.charge_housekeeping()
         self._used_nodes.add(node.node_no)
         self.reconfig_count_by_config[config.config_no] += 1
@@ -641,7 +406,6 @@ class ResourceInformationManager:
     def assign_task(self, task: Task, node: Node, entry: ConfigTaskEntry) -> None:
         """Bind a task to an idle entry and move it idle→busy chain."""
         self._idle[entry.config.config_no].remove(entry)
-        self._idle_discard(entry)
         self.counters.charge_housekeeping()
         self._track(node, lambda: node.add_task(task, entry))
         self._busy[entry.config.config_no].append(entry)
@@ -657,8 +421,7 @@ class ResourceInformationManager:
         entry = self._track(node, lambda: node.remove_task(task))
         self._busy[entry.config.config_no].remove(entry)
         self.counters.charge_housekeeping()
-        self._idle[entry.config.config_no].append(entry)
-        self._idle_add(entry, node)
+        self._idle_append(entry)
         self.counters.charge_housekeeping()
         return entry
 
@@ -667,12 +430,10 @@ class ResourceInformationManager:
         entries = list(entries)
         for entry in entries:
             self._idle[entry.config.config_no].remove(entry)
-            self._idle_discard(entry)
             self.counters.charge_housekeeping()
         reclaimed = self._track(node, lambda: node.make_partially_blank(entries))
         if node.is_blank and node not in self._blank:
-            self._blank.append(node)
-            self._blank_add(node)
+            self._blank_append(node)
             self.counters.charge_housekeeping()
         if entries and self.trace is not None:
             self.trace.emit(
@@ -690,12 +451,10 @@ class ResourceInformationManager:
         for entry in node.entries:
             if entry.is_idle:
                 self._idle[entry.config.config_no].remove(entry)
-                self._idle_discard(entry)
                 self.counters.charge_housekeeping()
         self._track(node, node.make_blank)
         if node not in self._blank:
-            self._blank.append(node)
-            self._blank_add(node)
+            self._blank_append(node)
             self.counters.charge_housekeeping()
         if evicted and self.trace is not None:
             self.trace.emit(
@@ -724,7 +483,6 @@ class ResourceInformationManager:
                     self._busy[entry.config.config_no].remove(entry)
                 else:
                     self._idle[entry.config.config_no].remove(entry)
-                    self._idle_discard(entry)
                 self.counters.charge_housekeeping()
             interrupted.extend(node.interrupt_all())
             node.make_blank()
@@ -732,11 +490,9 @@ class ResourceInformationManager:
         self._track(node, wipe)
         if node in self._blank:
             self._blank.remove(node)
-            self._blank_discard(node)
             self.counters.charge_housekeeping()
         node.in_service = False
         node.failure_count += 1
-        self._failed_count += 1
         if self.trace is not None:
             self.trace.emit(
                 NODE_FAILED,
@@ -752,9 +508,7 @@ class ResourceInformationManager:
         if node.in_service:
             raise ConfigurationError(f"node {node.node_no} is not failed")
         node.in_service = True
-        self._failed_count -= 1
-        self._blank.append(node)
-        self._blank_add(node)
+        self._blank_append(node)
         self.counters.charge_housekeeping()
         if self.trace is not None:
             self.trace.emit(NODE_REPAIRED, node=node.node_no)
@@ -784,7 +538,6 @@ class ResourceInformationManager:
         if victim is None:
             # Idle region: the entry moves idle -> busy chain for the scrub.
             self._idle[entry.config.config_no].remove(entry)
-            self._idle_discard(entry)
             self.counters.charge_housekeeping()
         self._track(node, mutate)
         if victim is None:
@@ -813,8 +566,7 @@ class ResourceInformationManager:
         self.counters.charge_housekeeping()
         reclaimed = self._track(node, lambda: node.make_partially_blank([entry]))
         if node.is_blank and node not in self._blank:
-            self._blank.append(node)
-            self._blank_add(node)
+            self._blank_append(node)
             self.counters.charge_housekeeping()
         if self.trace is not None:
             self.trace.emit(
@@ -834,7 +586,7 @@ class ResourceInformationManager:
         milli-units: 1000 per failure, halved for every ``half_life`` ticks
         elapsed since the last update (dyadic integer decay — no floats, so
         quarantine decisions are bit-identical across platforms and across
-        indexed/scan manager modes).
+        backends).
         """
         elapsed = now - node.health_updated
         score = node.health_milli >> min(63, max(0, elapsed // max(1, half_life)))
@@ -883,9 +635,8 @@ class ResourceInformationManager:
     def find_quarantined_host(self, config: Configuration) -> Optional[Node]:
         """Last-resort scan: first quarantined node able to host ``config``.
 
-        Charged one scheduling step per quarantined node examined — the same
-        code runs in both manager modes, so the charging (and the pick, in
-        quarantine order) is identical across ``indexed=True``/``False``.
+        Charged one scheduling step per quarantined node examined, in
+        quarantine order.
         """
         for node, _until in self._quarantined.values():
             self.counters.charge_scheduling()
@@ -921,21 +672,6 @@ class ResourceInformationManager:
     def node_count_by_state(self) -> dict[str, int]:
         """O(1) blank/idle/busy node counts (incrementally maintained)."""
         return dict(self.state_counts)
-
-    def load_stats(self) -> tuple[float, float, float]:
-        """O(1) utilization aggregates: ``(Σ load, Σ load², max load)``.
-
-        Per-node load is busy area / total area.  The sums are maintained
-        as exact integers over a common denominator (no accumulation drift;
-        Python's big-int division rounds the final float correctly); the max
-        is exact, read off the load-ordered index.
-        """
-        max_key = self._ix_load.max_key()
-        return (
-            self._load_sum_i / self._load_den,
-            self._load_sumsq_i / self._load_den_sq,
-            max_key[0] if max_key is not None else 0.0,
-        )
 
     # -- snapshot support ---------------------------------------------------------------
 
@@ -973,9 +709,7 @@ class ResourceInformationManager:
                     "health_updated": node.health_updated,
                 }
             )
-        blank_out = [
-            [self._node_pos[n], getattr(n, "_blank_key")[1]] for n in self._blank
-        ]
+        blank_out = [[self._node_pos[n], getattr(n, "_blank_seq")] for n in self._blank]
         idle_out = []
         busy_out = []
         for c in self.configs:
@@ -1031,27 +765,15 @@ class ResourceInformationManager:
                 "restore_state requires a freshly constructed manager "
                 "(all nodes blank and in service)"
             )
-        # Tear down the construction-time blank bookkeeping; the exported
-        # chain carries its own sequence numbers.
+        # Tear down the construction-time blank chain; the exported chain
+        # carries its own sequence numbers.
         for node in list(self._blank):
             self._blank.remove(node)
-            self._blank_discard(node)
-        self._ix_partial = SortedKeyIndex("partial-by-available")
-        self._ix_reclaim = SortedKeyIndex("nodes-by-reclaimable")
-        self._ix_allidle = SortedKeyIndex("allidle-by-total")
-        self._ix_busy = SortedKeyIndex("busy-by-total")
-        self._ix_blank = SortedKeyIndex("blank-by-total")
-        self._ix_idle_entries = {
-            c.config_no: SortedKeyIndex(f"idle-entries[C{c.config_no}]")
-            for c in self.configs
-        }
-        self._entries_total = 0
-        self._idle_node_entries = 0
 
         # Per-node dynamic state, through the public Node mutators.
         for node, rec in zip(self.nodes, state["nodes"]):
             for cno, task_no, loaded_at in rec["entries"]:
-                config = self._config_by_no[cno][1]
+                config = self._config_by_no[cno]
                 entry = node.send_bitstream(config, now=loaded_at)
                 setattr(entry, "_node", node)
                 if task_no is not None:
@@ -1066,48 +788,20 @@ class ResourceInformationManager:
         for ni, seq in state["blank"]:
             node = self.nodes[ni]
             self._blank.append(node)
-            key = (node.total_area, seq)
-            setattr(node, "_blank_key", key)
-            self._ix_blank.add(key, node)
+            setattr(node, "_blank_seq", seq)
         for cno, recs in state["idle"]:
             chain = self._idle[cno]
-            ix = self._ix_idle_entries[cno]
             for ni, ei, seq in recs:
-                node = self.nodes[ni]
-                entry = node.entries[ei]
+                entry = self.nodes[ni].entries[ei]
                 chain.append(entry)
-                key = (node.available_area, seq)
                 setattr(entry, "_idle_seq", seq)
-                setattr(entry, "_idle_key", key)
-                ix.add(key, entry)
         for cno, recs in state["busy"]:
             chain = self._busy[cno]
             for ni, ei in recs:
                 chain.append(self.nodes[ni].entries[ei])
         self._chain_seq = state["chain_seq"]
 
-        # Node indexes and aggregates, exactly as construction computes them.
-        for node in self.nodes:
-            self._node_add(node)
-        self._ix_load = SortedKeyIndex("nodes-by-load")
-        self._load_sum_i = 0
-        self._load_sumsq_i = 0
-        for i, n in enumerate(self.nodes):
-            # dreamlint: disable=DL002 (load-index keys are float ratios by design; the accounted sums stay integer)
-            self._ix_load.add((n.busy_area / n.total_area, i), n)
-            b = n.busy_area * self._load_w[i]
-            self._load_sum_i += b
-            self._load_sumsq_i += b * b
-        self.state_counts = {"blank": 0, "idle": 0, "busy": 0}
-        self._wasted_total = 0
-        self._configured_total = 0
-        self.running_tasks_count = 0
-        for node in self.nodes:
-            self.state_counts[self._state_key(node)] += 1
-            self._wasted_total += self._waste_of(node)
-            self._configured_total += node.configured_area
-            self.running_tasks_count += node.busy_count
-        self._failed_count = sum(1 for n in self.nodes if not n.in_service)
+        self._recount_aggregates()
         self._used_nodes = set(state["used_nodes"])
         self.reconfig_count_by_config = {
             cno: count for cno, count in state["reconfig_counts"]

@@ -57,7 +57,7 @@ class ServiceSimulator:
         stream it implies still feeds first — set ``tasks=0`` for a run
         fed purely from ``source``.
     backend:
-        Resource-manager backend (``array``/``indexed``/``scan``).
+        Resource-manager backend (``array``, the default, or ``scan``).
     source:
         Optional :class:`ArrivalSource`; its due arrivals are ingested at
         every :meth:`advance_to` window.
@@ -72,7 +72,7 @@ class ServiceSimulator:
         self,
         spec: FaultCampaignSpec,
         *,
-        backend: Optional[str] = None,
+        backend: str = "array",
         source: Optional[ArrivalSource] = None,
         jsonl_path: Optional[str] = None,
         append: bool = False,
@@ -102,7 +102,7 @@ class ServiceSimulator:
         snapshot: Snapshot,
         spec: FaultCampaignSpec,
         *,
-        backend: Optional[str] = None,
+        backend: str = "array",
         source: Optional[ArrivalSource] = None,
         prefix_events: Iterable[TraceEvent] = (),
         jsonl_path: Optional[str] = None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 from repro.model.config import Configuration
 from repro.model.task import Task
@@ -104,8 +104,8 @@ class JsonlTailSource:
         self.path = Path(path)
         self._configs = {c.config_no: c for c in configs}
         self._fabricated: dict[int, Configuration] = {}
-        self._offset = 0
-        self._carry = ""
+        self._offset = 0  # byte offset of the first line not yet parsed
+        self._lines = 0  # complete lines consumed so far (blank ones too)
         self._buffer: list[TaskArrival] = []
         self._closed = False
 
@@ -114,26 +114,37 @@ class JsonlTailSource:
         self._closed = True
 
     def poll(self) -> int:
-        """Ingest newly appended complete lines; returns records read."""
+        """Ingest newly appended complete lines; returns records read.
+
+        The offset moves past a line only once the line has parsed, so a
+        malformed line raises :class:`ValueError` naming its 1-based line
+        number, and every later poll raises on the same line again: the
+        lines after it are never skipped.
+        """
         if not self.path.exists():
             return 0
         size = os.path.getsize(self.path)
         if size <= self._offset:
             return 0
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
-            self._offset = fh.tell()
-        text = self._carry + chunk
-        lines = text.split("\n")
-        self._carry = lines.pop()  # trailing partial (or empty) line
+        # Everything after the last newline is a partial line: it waits.
+        complete = chunk[: chunk.rfind(b"\n") + 1]
         count = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            self._buffer.append(self._parse(json.loads(line)))
-            count += 1
+        for raw in complete.split(b"\n")[:-1]:
+            if raw.strip():
+                try:
+                    arrival = self._parse(json.loads(raw))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{self.path}: line {self._lines + 1}: "
+                        f"malformed task record: {exc!r}"
+                    ) from exc
+                self._buffer.append(arrival)
+                count += 1
+            self._offset += len(raw) + 1
+            self._lines += 1
         return count
 
     def _parse(self, rec: dict) -> TaskArrival:

@@ -3,57 +3,22 @@
 DReAMSim, as published, advances simulated time with an explicit
 ``IncreaseTimeTick`` loop over integer *timeticks*.  This package provides the
 equivalent substrate built from scratch:
-
-* :class:`~repro.sim.environment.Environment` — an event-driven kernel that
-  jumps directly to the next scheduled event (the efficient default), with a
-  generator-based process model in the style of classic DES libraries.
-* :class:`~repro.sim.tick.TickDriver` — a tick-by-tick compatibility driver
-  that reproduces the paper's explicit time loop; used in tests to check that
-  event-driven execution visits exactly the same state transitions.
-* Generic shared resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`, :class:`~repro.sim.resources.Store`)
-  used by the higher layers and available to downstream users who want to
-  model other parts of a distributed system (networks, queues, staging areas).
+:class:`~repro.sim.environment.Environment`, an event-driven kernel that
+jumps directly to the next scheduled event.  The simulator schedules plain
+function calls on it with :meth:`~repro.sim.environment.Environment.call_at`;
+tagged calls can be exported and rebuilt for snapshots.
 
 Time is measured in integer or float *timeticks* (Eq. 5 of the paper: total
 simulation time = total number of timeticks).  The kernel is deterministic:
 events scheduled at equal times fire in (priority, insertion-order) sequence.
 """
 
-from repro.sim.core import (
-    AnyOf,
-    AllOf,
-    ConditionValue,
-    Event,
-    EventStatus,
-    Interrupt,
-    Process,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.core import Event, EventStatus, SimulationError
 from repro.sim.environment import Environment
-from repro.sim.resources import Container, PriorityResource, Resource, Store
-from repro.sim.tick import TickDriver
-from repro.sim.trace import TraceEntry, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "EventStatus",
-    "Interrupt",
-    "PriorityResource",
-    "Process",
-    "Resource",
     "SimulationError",
-    "StopSimulation",
-    "Store",
-    "TickDriver",
-    "Timeout",
-    "TraceEntry",
-    "Tracer",
 ]

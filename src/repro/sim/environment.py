@@ -3,25 +3,16 @@
 :class:`Environment` owns the event queue (a binary heap keyed on
 ``(time, priority, sequence)``) and the simulation clock.  It is the
 from-scratch substrate replacing the explicit ``IncreaseTimeTick`` loop of the
-original C++ DReAMSim; see :class:`repro.sim.tick.TickDriver` for the
-tick-compatible driver.
+original C++ DReAMSim: instead of visiting every tick, the clock jumps
+straight to the next scheduled event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from repro.sim.core import (
-    PRIORITY_NORMAL,
-    Event,
-    EventStatus,
-    Process,
-    ProcessGenerator,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.core import PRIORITY_NORMAL, Event, EventStatus, SimulationError
 
 
 class Environment:
@@ -31,17 +22,12 @@ class Environment:
     ----------
     initial_time:
         Simulation clock start (timeticks).
-    tracer:
-        Optional :class:`repro.sim.trace.Tracer`; every scheduled event is
-        reported to it, which the tick-equivalence tests use.
     """
 
-    def __init__(self, initial_time: float = 0, tracer: Optional[Any] = None) -> None:
+    def __init__(self, initial_time: float = 0) -> None:
         self._now = initial_time
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
-        self.tracer = tracer
         self._event_count = 0
 
     # -- clock ----------------------------------------------------------------
@@ -50,11 +36,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in timeticks."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def events_processed(self) -> int:
@@ -90,26 +71,12 @@ class Environment:
         event._status = EventStatus.SCHEDULED
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        if self.tracer is not None:
-            self.tracer.on_schedule(self._now, self._now + delay, event)
 
     # -- factories ---------------------------------------------------------------
 
     def event(self) -> Event:
         """Create a fresh pending event."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` ticks from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Spawn a process from a generator."""
-        return Process(self, generator, name=name)
-
-    def exit(self, value: Any = None) -> None:
-        """Terminate :meth:`run` from inside a process."""
-        raise StopSimulation(value)
 
     # -- execution ----------------------------------------------------------------
 
@@ -128,8 +95,6 @@ class Environment:
         self._now = when
         event._status = EventStatus.FIRED
         self._event_count += 1
-        if self.tracer is not None:
-            self.tracer.on_fire(when, event)
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
@@ -137,59 +102,32 @@ class Environment:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
 
-    def run(self, until: Optional[Any] = None, *, idle_advance: bool = True) -> Any:
-        """Run until the queue drains, a time is reached, or an event fires.
+    def run(self, until: Optional[float] = None, *, idle_advance: bool = True) -> None:
+        """Run until the queue drains or the clock reaches ``until``.
 
         Parameters
         ----------
         until:
-            * ``None`` — run until no events remain.
-            * a number — run until the clock reaches that time (the clock is
-              set to exactly that value on return).
-            * an :class:`Event` — run until that event fires; its value is
-              returned (its failure is raised).
+            ``None`` runs until no events remain; a number runs every event
+            due at or before that time (the clock is set to exactly that
+            value on return).
         idle_advance:
             With a numeric ``until``, ``False`` leaves the clock at the last
             fired event instead of idling it forward to ``until``.  Windowed
             drivers use this so a run that ends mid-window produces the same
             event stream, byte for byte, as one driven straight through.
         """
-        stop_at: Optional[float] = None
-        stop_event: Optional[Event] = None
         if until is None:
-            pass
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event._status is EventStatus.FIRED:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value
-            stop_event.callbacks.append(self._stop_on_event)
-        else:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise ValueError(f"until={stop_at} is in the past (now={self._now})")
-
-        try:
             while self._queue:
-                if stop_at is not None and self.peek() > stop_at:
-                    break
                 self.step()
-        except StopSimulation as stop:
-            return stop.value
-
-        if stop_at is not None and idle_advance:
+            return
+        stop_at = float(until)
+        if stop_at < self._now:
+            raise ValueError(f"until={stop_at} is in the past (now={self._now})")
+        while self._queue and self._queue[0][0] <= stop_at:
+            self.step()
+        if idle_advance:
             self._now = max(self._now, stop_at)
-        if stop_event is not None and stop_event._status is not EventStatus.FIRED:
-            raise SimulationError("run(until=event) exhausted the queue before the event fired")
-        return None
-
-    @staticmethod
-    def _stop_on_event(event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            raise event._value
-        raise StopSimulation(event._value)
 
     # -- convenience -----------------------------------------------------------------
 

@@ -32,8 +32,8 @@ from typing import Any, Mapping
 # -- event types (the taxonomy) -----------------------------------------------
 
 RUN_STARTED = "RunStarted"  # run parameters: nodes, configs, partial, sample_system
-# (the manager's `indexed` flag is deliberately absent: both modes must
-# produce byte-identical traces)
+# (the manager backend is deliberately absent: both backends must produce
+# byte-identical traces)
 RUN_FINISHED = "RunFinished"  # final_time + terminal counter totals
 TASK_ARRIVED = "TaskArrived"  # job submission manager handed a task over
 PLACED = "Placed"  # scheduler bound the task (kind = the Fig. 5 phase)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
+from repro.resources import BACKENDS
 from repro.service.snapshot import Snapshot, restore_snapshot, snapshot_of
 from repro.trace.bus import DigestSink, MemorySink, TraceBus
 from repro.trace.events import TraceEvent
@@ -77,7 +78,6 @@ SEU_SMALL = FaultCampaignSpec(
     backoff_base=8,
 )
 
-BACKENDS = ("array", "indexed", "scan")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The acceptance-scale campaigns for fault-tolerance v2: a 200-node / 20k-task
 SEU-only soak comparing partial against full reconfiguration, plus a
-differential digest check (indexed vs reference-scan manager) under a mixed
+differential digest check (array vs reference-scan manager) under a mixed
 fault regime.  Excluded from the default run by the ``-m "not chaos"``
 addopts; CI runs them as a separate step.  Scale can be tuned through
 ``REPRO_CHAOS_NODES`` / ``REPRO_CHAOS_TASKS`` for slower machines, and the
@@ -58,11 +58,11 @@ MIXED_SPEC = FaultCampaignSpec(
 )
 
 
-def traced_specs(campaigns, indexed=(True, True)):
+def traced_specs(campaigns, backends=("array", "array")):
     """Run campaigns through the sweep engine with full capture enabled."""
     specs = [
-        RunSpec(campaign=c, indexed=ix, collect_digest=True, collect_events=True)
-        for c, ix in zip(campaigns, indexed)
+        RunSpec(campaign=c, backend=b, collect_digest=True, collect_events=True)
+        for c, b in zip(campaigns, backends)
     ]
     return run_specs(specs, jobs=CHAOS_JOBS)
 
@@ -100,8 +100,8 @@ class TestSeuSoak:
 
 
 class TestDifferentialDigest:
-    def test_indexed_and_scan_agree_under_mixed_faults(self):
-        p_i, p_s = traced_specs([MIXED_SPEC, MIXED_SPEC], indexed=(True, False))
+    def test_array_and_scan_agree_under_mixed_faults(self):
+        p_i, p_s = traced_specs([MIXED_SPEC, MIXED_SPEC], backends=("array", "scan"))
         assert p_i.digest == p_s.digest
         assert [e.canonical() for e in p_i.events] == [
             e.canonical() for e in p_s.events

@@ -21,6 +21,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--figure", "nope"])
 
+    @pytest.mark.parametrize("command", ["run", "serve", "sweep"])
+    def test_backend_choices(self, command, capsys):
+        assert build_parser().parse_args([command]).backend == "array"
+        assert build_parser().parse_args([command, "--backend", "scan"]).backend == "scan"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--backend", "indexed"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'indexed'" in err
+        assert "'array', 'scan'" in err
+
 
 class TestRunCommand:
     def test_prints_table1(self, capsys):
@@ -64,7 +75,7 @@ class TestRunCommand:
         report = replay_report(events)
         assert f"{report.total_completed_tasks}" in out
         # Identical run under the reference manager: identical digest.
-        rc = main(base + ["--no-indexed", "--trace-digest"])
+        rc = main(base + ["--backend", "scan", "--trace-digest"])
         assert rc == 0
         assert f"trace digest: {digest}" in capsys.readouterr().out
 

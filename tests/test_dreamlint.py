@@ -152,13 +152,13 @@ def test_dl002_integer_math_is_clean(tmp_path: Path) -> None:
 
 def test_dl002_allowlist_covers_load_stats(tmp_path: Path) -> None:
     src = (
-        "class ResourceInformationManager:\n"
+        "class ArrayRIM:\n"
         "    def load_stats(self) -> float:\n"
         "        return self._load_sum / self.n\n"
         "    def other(self) -> float:\n"
         "        return self.a / self.b\n"
     )
-    report = lint_tree(tmp_path, {"resources/manager.py": src})
+    report = lint_tree(tmp_path, {"resources/arraycore.py": src})
     findings = [f for f in report.findings if f.rule == "DL002"]
     assert len(findings) == 1  # only `other`; load_stats is allowlisted
     assert findings[0].line == 5
@@ -249,7 +249,7 @@ def test_dl004_clean_when_fully_covered(tmp_path: Path) -> None:
         "rim.state_counts['busy'] = 3\n",
         "rim._idle[cno].append(node)\n",
         "del rim._node_pos[node]\n",
-        "rim._ix_load.discard(key)\n",
+        "rim._quarantined.pop(node_no)\n",
     ],
 )
 def test_dl005_positive(tmp_path: Path, snippet: str) -> None:
@@ -262,7 +262,7 @@ def test_dl005_reads_are_fine_and_manager_is_exempt(tmp_path: Path) -> None:
         tmp_path,
         {
             "core/sched.py": "n = rim.state_counts['busy']\nx = len(rim._idle[cno])\n",
-            "resources/manager.py": "self._wasted_total += 5\nself._ix_load.discard(k)\n",
+            "resources/manager.py": "self._wasted_total += 5\nself._quarantined.pop(k)\n",
         },
     )
     assert "DL005" not in rules_hit(report)

@@ -13,6 +13,8 @@ from repro.framework import DReAMSim
 from repro.model import Configuration, Node, Task
 from repro.model.family import DeviceFamily
 from repro.resources import ResourceInformationManager, check_invariants
+from repro.resources.susqueue import SuspensionQueue
+from repro.trace import DigestSink, TraceBus
 from repro.workload.generator import TaskArrival
 
 FAM_A = DeviceFamily(name="alpha")
@@ -99,33 +101,37 @@ class TestFamilyRouting:
         check_invariants(rim)
 
 
+def mixed_cluster_workload():
+    """12 nodes over three families, 6 configurations, 120 arrivals."""
+    nodes = []
+    for i in range(12):
+        fam = (FAM_A, FAM_B, FAM_C)[i % 3]
+        nodes.append(Node(node_no=i, total_area=2500, family=fam))
+    configs = [
+        Configuration(
+            config_no=i,
+            req_area=400 + 100 * i,
+            config_time=12,
+            family=(FAM_A if i % 2 == 0 else FAM_B),
+        )
+        for i in range(6)
+    ]
+    arrivals = []
+    at = 0
+    for i in range(120):
+        at += 13
+        arrivals.append(
+            TaskArrival(
+                at=at,
+                task=Task(task_no=i, required_time=500, pref_config=configs[i % 6]),
+            )
+        )
+    return nodes, configs, arrivals
+
+
 class TestFamilySimulation:
     def test_mixed_cluster_simulation_conserves(self):
-        nodes = []
-        for i in range(12):
-            fam = (FAM_A, FAM_B, FAM_C)[i % 3]
-            nodes.append(Node(node_no=i, total_area=2500, family=fam))
-        configs = [
-            Configuration(
-                config_no=i,
-                req_area=400 + 100 * i,
-                config_time=12,
-                family=(FAM_A if i % 2 == 0 else FAM_B),
-            )
-            for i in range(6)
-        ]
-        arrivals = []
-        at = 0
-        for i in range(120):
-            at += 13
-            arrivals.append(
-                TaskArrival(
-                    at=at,
-                    task=Task(
-                        task_no=i, required_time=500, pref_config=configs[i % 6]
-                    ),
-                )
-            )
+        nodes, configs, arrivals = mixed_cluster_workload()
         result = DReAMSim(nodes, configs, arrivals, partial=True).run()
         rep = result.report
         assert rep.total_completed_tasks + rep.total_discarded_tasks == 120
@@ -155,3 +161,20 @@ class TestFamilySimulation:
         for node in result.load.rim.nodes:
             for entry in node.entries:
                 assert entry.config.compatible_with_node_family(node.family)
+
+    def test_array_request_on_family_system_runs_scan(self):
+        """A family system asked for the array backend runs the scan
+        manager, and says so: the manager, the suspension queue and
+        ``sim.backend`` agree, and the run is the explicit scan run."""
+        runs = {}
+        for backend in ("array", "scan"):
+            digest = DigestSink()
+            sim = DReAMSim(
+                *mixed_cluster_workload(), partial=True, backend=backend,
+                trace=TraceBus(digest),
+            )
+            assert sim.backend == "scan"
+            assert type(sim.rim) is ResourceInformationManager
+            assert type(sim.susqueue) is SuspensionQueue
+            runs[backend] = (sim.run().report, digest.hexdigest())
+        assert runs["array"] == runs["scan"]

@@ -295,12 +295,10 @@ def test_dl010_fires_when_a_restore_field_read_is_deleted(mutated_tree):
 
 def test_dl011_fires_when_an_early_return_skips_the_charge(mutated_tree):
     report = mutated_tree(
-        "resources/manager.py",
-        """                self.counters.charge_scheduling_many(
-                    self._failed_scan_steps(require_all_idle)
-                )
-                return None, []""",
-        "                return None, []",
+        "resources/arraycore.py",
+        """            self.counters.scheduling_steps += self._failed_scan_steps(require_all_idle)
+            return None, []""",
+        "            return None, []",
         "DL011",
     )
     hits = [f for f in report.errors if f.rule == "DL011"]

@@ -52,12 +52,12 @@ def campaign(partial=True, seed=3, faults=False, **kw):
     )
 
 
-def spec_matrix(faults: bool, indexed: bool = True) -> list[RunSpec]:
+def spec_matrix(faults: bool, backend: str = "array") -> list[RunSpec]:
     """Four runs: both modes x two seeds, digests always on."""
     return [
         RunSpec(
             campaign=campaign(partial=pt, seed=s, faults=faults),
-            indexed=indexed,
+            backend=backend,
             collect_digest=True,
         )
         for pt in (True, False)
@@ -66,15 +66,15 @@ def spec_matrix(faults: bool, indexed: bool = True) -> list[RunSpec]:
 
 
 # ---------------------------------------------------------------------------
-# the differential: jobs in {1, 2, 4} x manager mode x fault regime
+# the differential: jobs in {1, 2, 4} x manager backend x fault regime
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "scan"])
-def test_parallel_bit_identical_to_serial(jobs, faults, indexed) -> None:
-    specs = spec_matrix(faults, indexed=indexed)
+@pytest.mark.parametrize("backend", ["array", "scan"])
+def test_parallel_bit_identical_to_serial(jobs, faults, backend) -> None:
+    specs = spec_matrix(faults, backend=backend)
     serial = run_specs(specs, jobs=1)
     parallel = run_specs(specs, jobs=jobs)
     assert [p.index for p in parallel] == list(range(len(specs)))
@@ -224,9 +224,16 @@ def test_prefetch_fills_cache_and_dedupes() -> None:
 
 
 def test_runspec_label_and_with_seed() -> None:
-    spec = RunSpec(campaign=campaign(faults=True), indexed=False)
+    spec = RunSpec(campaign=campaign(faults=True), backend="scan")
     assert spec.label() == f"n{NODES}-t{TASKS}-partial-s3-faults-scan"
+    assert RunSpec(campaign=campaign()).label() == f"n{NODES}-t{TASKS}-partial-s3"
     reseeded = spec.with_seed(9)
     assert reseeded.campaign.seed == 9
-    assert reseeded.indexed is False
+    assert reseeded.backend == "scan"
     assert spec.campaign.seed == 3
+
+
+@pytest.mark.parametrize("backend", ["indexed", "Array", ""])
+def test_runspec_rejects_unknown_backend_at_construction(backend) -> None:
+    with pytest.raises(ValueError, match=r"unknown backend .*options: \('array', 'scan'\)"):
+        RunSpec(campaign=campaign(), backend=backend)

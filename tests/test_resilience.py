@@ -52,10 +52,10 @@ CRASH_QUARANTINE_SPEC = FaultCampaignSpec(
 )
 
 
-def traced_campaign(spec, indexed=True):
+def traced_campaign(spec, backend="array"):
     mem, digest = MemorySink(), DigestSink()
     bus = TraceBus(mem, digest)
-    result, injector = run_campaign(spec, indexed=indexed, trace=bus)
+    result, injector = run_campaign(spec, backend=backend, trace=bus)
     return result, injector, mem, digest
 
 
@@ -116,9 +116,9 @@ class TestDeterminism:
         [SEU_SPEC, CRASH_QUARANTINE_SPEC],
         ids=["seu", "crash-quarantine"],
     )
-    def test_indexed_and_scan_managers_agree_under_faults(self, spec):
-        r_i, inj_i, mem_i, dig_i = traced_campaign(spec, indexed=True)
-        r_s, inj_s, mem_s, dig_s = traced_campaign(spec, indexed=False)
+    def test_array_and_scan_managers_agree_under_faults(self, spec):
+        r_i, inj_i, mem_i, dig_i = traced_campaign(spec, backend="array")
+        r_s, inj_s, mem_s, dig_s = traced_campaign(spec, backend="scan")
         assert dig_i.hexdigest() == dig_s.hexdigest()
         assert [e.canonical() for e in mem_i] == [e.canonical() for e in mem_s]
         assert inj_i.resilience(r_i) == inj_s.resilience(r_s)

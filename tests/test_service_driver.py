@@ -71,7 +71,7 @@ def test_mid_run_report_view_and_resume():
     assert view.report.total_tasks_generated >= view.report.total_completed_tasks
     snap = Snapshot.from_json(svc.checkpoint().to_json())
     resumed = ServiceSimulator.resume(
-        snap, SEU_SMALL, backend="indexed", prefix_events=list(svc.memory)
+        snap, SEU_SMALL, backend="scan", prefix_events=list(svc.memory)
     )
     result = resumed.drain()
     assert resumed.hexdigest() == base.digest
@@ -172,6 +172,30 @@ def test_jsonl_tail_source(tmp_path):
     src2 = JsonlTailSource(bad, configs)
     with pytest.raises(ValueError, match="pref_area"):
         src2.take_until(100)
+
+
+def test_jsonl_tail_source_never_skips_past_a_malformed_line(tmp_path):
+    """good / bad / good: the first record is buffered, every poll raises
+    naming line 2, and the record after the bad line is never consumed."""
+    rng = RNG(seed=7)
+    generate_nodes(NodeSpec(count=5), rng)
+    configs = generate_configs(ConfigSpec(count=4), rng)
+    known_no = configs[0].config_no
+    path = tmp_path / "feed.jsonl"
+    path.write_text(
+        json.dumps({"no": 0, "at": 10, "req": 50, "pref": known_no})
+        + "\n{\"no\": 1, \"at\": \n"
+        + json.dumps({"no": 2, "at": 30, "req": 50, "pref": known_no})
+        + "\n"
+    )
+    src = JsonlTailSource(path, configs)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"line 2:"):
+            src.poll()
+        assert [a.task.task_no for a in src._buffer] == [0]
+    with pytest.raises(ValueError, match=r"line 2:"):
+        src.take_until(100)
+    assert [a.task.task_no for a in src._buffer] == [0]
 
 
 def test_service_jsonl_persistence_continues_across_resume(tmp_path):

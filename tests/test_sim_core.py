@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    EventStatus,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import Environment, EventStatus, SimulationError
 
 
 @pytest.fixture
@@ -75,87 +67,42 @@ class TestEvent:
 
 
 class TestTimeout:
+    """An event scheduled ``delay`` ticks ahead fires then (a timeout)."""
+
+    @staticmethod
+    def timeout(env, delay, fired=None, label=None):
+        ev = env.event()
+        if fired is not None:
+            ev.callbacks.append(lambda e: fired.append(label))
+        env.schedule(ev, delay)
+        return ev
+
     def test_fires_after_delay(self, env):
-        t = env.timeout(10, value="done")
+        ev = self.timeout(env, 10)
         env.run()
         assert env.now == 10
-        assert t.value == "done"
+        assert ev.processed and ev.ok
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-1)
+            self.timeout(env, -1)
 
     def test_zero_delay_fires_now(self, env):
-        t = env.timeout(0)
+        ev = self.timeout(env, 0)
         env.run()
         assert env.now == 0
-        assert t.processed
+        assert ev.processed
 
     def test_timeouts_fire_in_time_order(self, env):
         fired = []
         for d in (5, 1, 3):
-            t = env.timeout(d, value=d)
-            t.callbacks.append(lambda e: fired.append(e.value))
+            self.timeout(env, d, fired, d)
         env.run()
         assert fired == [1, 3, 5]
 
     def test_equal_time_fires_in_creation_order(self, env):
         fired = []
         for tag in "abc":
-            t = env.timeout(7, value=tag)
-            t.callbacks.append(lambda e: fired.append(e.value))
+            self.timeout(env, 7, fired, tag)
         env.run()
         assert fired == ["a", "b", "c"]
-
-
-class TestConditions:
-    def test_allof_waits_for_all(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(5, "b")
-        both = AllOf(env, [a, b])
-        env.run(until=both)
-        assert env.now == 5
-        assert both.value.values() == ["a", "b"]
-
-    def test_anyof_fires_on_first(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(5, "b")
-        either = AnyOf(env, [a, b])
-        env.run(until=either)
-        assert env.now == 1
-        assert "a" in either.value.values()
-
-    def test_operator_composition(self, env):
-        a, b = env.timeout(2), env.timeout(3)
-        combined = a & b
-        assert isinstance(combined, AllOf)
-        combined2 = a | b
-        assert isinstance(combined2, AnyOf)
-
-    def test_empty_allof_fires_immediately(self, env):
-        cond = AllOf(env, [])
-        env.run()
-        assert cond.processed and len(cond.value) == 0
-
-    def test_condition_value_mapping(self, env):
-        a = env.timeout(1, "x")
-        cond = AllOf(env, [a])
-        env.run()
-        assert a in cond.value
-        assert cond.value[a] == "x"
-        with pytest.raises(KeyError):
-            _ = cond.value[env.event()]
-
-    def test_allof_propagates_failure(self, env):
-        a = env.timeout(1)
-        bad = env.event()
-        bad.fail(RuntimeError("inner"))
-        bad.defuse()
-        cond = AllOf(env, [a, bad])
-        with pytest.raises(RuntimeError):
-            env.run(until=cond)
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        a = env.timeout(1)
-        b = other.timeout(1)
-        with pytest.raises(SimulationError):
-            AllOf(env, [a, b])

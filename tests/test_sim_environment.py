@@ -1,14 +1,19 @@
 """Unit tests for the Environment event loop (repro.sim.environment)."""
 
+import random
+
 import pytest
 
 from repro.sim import Environment, SimulationError
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+def noop():
+    pass
 
 
 class TestClock:
@@ -20,58 +25,58 @@ class TestClock:
         assert env.peek() == float("inf")
 
     def test_peek_returns_next_event_time(self, env):
-        env.timeout(7)
-        env.timeout(3)
+        env.call_at(7, noop)
+        env.call_at(3, noop)
         assert env.peek() == 3
 
     def test_clock_jumps_to_event_times(self, env):
         times = []
-        for d in (2, 9):
-            t = env.timeout(d)
-            t.callbacks.append(lambda e: times.append(env.now))
+        for t in (2, 9):
+            env.call_at(t, lambda: times.append(env.now))
         env.run()
         assert times == [2, 9]
 
 
 class TestRun:
     def test_run_until_time_sets_clock(self, env):
-        env.timeout(100)
+        env.call_at(100, noop)
         env.run(until=50)
         assert env.now == 50
         assert env.peek() == 100  # event still queued
 
+    def test_run_until_fires_events_due_at_the_bound(self, env):
+        seen = []
+        env.call_at(50, lambda: seen.append(env.now))
+        env.run(until=50)
+        assert seen == [50]
+
+    def test_run_until_without_idle_advance_keeps_last_event_time(self, env):
+        env.call_at(20, noop)
+        env.call_at(100, noop)
+        env.run(until=50, idle_advance=False)
+        assert env.now == 20
+        assert env.peek() == 100
+
     def test_run_until_past_raises(self, env):
-        env.timeout(5)
+        env.call_at(5, noop)
         env.run()
         with pytest.raises(ValueError):
             env.run(until=1)
-
-    def test_run_until_event_returns_its_value(self, env):
-        t = env.timeout(4, value="payload")
-        assert env.run(until=t) == "payload"
-        assert env.now == 4
-
-    def test_run_until_unreachable_event_raises(self, env):
-        ev = env.event()  # never triggered
-        env.timeout(1)
-        with pytest.raises(SimulationError):
-            env.run(until=ev)
 
     def test_step_on_empty_queue_raises(self, env):
         with pytest.raises(SimulationError):
             env.step()
 
     def test_events_processed_counter(self, env):
-        for d in range(5):
-            env.timeout(d)
+        for t in range(5):
+            env.call_at(t, noop)
         env.run()
         assert env.events_processed == 5
 
     def test_run_all_respects_limit(self, env):
         def chain():
             # self-perpetuating event chain
-            ev = env.timeout(1)
-            ev.callbacks.append(lambda e: chain())
+            env.call_at(env.now + 1, chain)
 
         chain()
         with pytest.raises(SimulationError):
@@ -86,10 +91,10 @@ class TestCallAt:
         assert seen == [12]
 
     def test_call_at_past_raises(self, env):
-        env.timeout(5)
+        env.call_at(5, noop)
         env.run()
         with pytest.raises(ValueError):
-            env.call_at(2, lambda: None)
+            env.call_at(2, noop)
 
     def test_call_at_now_is_allowed(self, env):
         seen = []
@@ -100,14 +105,13 @@ class TestCallAt:
 
 class TestDeterminism:
     def _run_program(self):
-        env = Environment(tracer=Tracer())
-        import random
-
+        env = Environment()
         rnd = random.Random(99)
+        fired = []
         for _ in range(200):
-            env.timeout(rnd.randint(0, 50))
+            env.call_at(rnd.randint(0, 50), lambda: fired.append(env.now))
         env.run()
-        return env.tracer.fire_times()
+        return fired
 
     def test_identical_programs_replay_identically(self):
         assert self._run_program() == self._run_program()
@@ -115,15 +119,3 @@ class TestDeterminism:
     def test_fire_times_nondecreasing(self):
         times = self._run_program()
         assert times == sorted(times)
-
-
-class TestExit:
-    def test_exit_stops_run_with_value(self, env):
-        def proc(env):
-            yield env.timeout(3)
-            env.exit("early")
-            yield env.timeout(100)  # pragma: no cover - never reached
-
-        env.process(proc(env))
-        assert env.run() == "early"
-        assert env.now == 3

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.snapshot_harness import SEU, resume_to_end
+from tests.snapshot_harness import BACKENDS, SEU, resume_to_end
 
 from repro.service.snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError
 from repro.trace.bus import read_jsonl
@@ -27,7 +27,7 @@ def test_golden_snapshot_restores_to_expected_digest():
     assert snap.version == SNAPSHOT_VERSION
     prefix = read_jsonl(GOLDEN / "prefix.jsonl")
     assert len(prefix) == expected["cut_trace_events"] == snap.trace_seq
-    for backend in ("array", "indexed", "scan"):
+    for backend in BACKENDS:
         digest, _report = resume_to_end(snap, prefix, SEU, backend)
         assert digest == expected["expected_final_digest"], (
             f"golden restore on {backend} no longer reproduces the recorded "

@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tests.snapshot_harness import baseline, cut_and_resume  # noqa: E402
+from tests.snapshot_harness import BACKENDS, baseline, cut_and_resume  # noqa: E402
 
 from repro.framework.campaign import FaultCampaignSpec  # noqa: E402
 
@@ -49,7 +49,7 @@ def campaign_specs(draw):
 @_SETTINGS
 @given(
     spec=campaign_specs(),
-    backend=st.sampled_from(["array", "indexed", "scan"]),
+    backend=st.sampled_from(BACKENDS),
     cut_frac=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_restore_then_finish_matches_uninterrupted(spec, backend, cut_frac):
@@ -64,7 +64,7 @@ def test_restore_then_finish_matches_uninterrupted(spec, backend, cut_frac):
 @given(
     spec=campaign_specs(),
     cut=st.integers(min_value=0, max_value=300),
-    resume_backend=st.sampled_from(["array", "indexed", "scan"]),
+    resume_backend=st.sampled_from(BACKENDS),
 )
 def test_double_restore_idempotent_any_backend(spec, cut, resume_backend):
     """Two independent restores of the same logical cut agree exactly."""

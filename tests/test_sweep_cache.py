@@ -37,7 +37,7 @@ def campaign(partial=True, seed=3, tasks=TASKS):
     )
 
 
-def spec_list(backend=None, count=4):
+def spec_list(backend="array", count=4):
     """Distinct digest-collecting specs: both modes x consecutive seeds."""
     return [
         RunSpec(

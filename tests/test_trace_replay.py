@@ -31,12 +31,12 @@ SCENARIOS = [
 ]
 
 
-def traced_run(nodes, tasks, partial, seed=42, indexed=True):
+def traced_run(nodes, tasks, partial, seed=42, backend="array"):
     mem, digest = MemorySink(), DigestSink()
     bus = TraceBus(mem, digest)
     result = quick_simulation(
         nodes=nodes, configs=50, tasks=tasks, partial=partial,
-        seed=seed, indexed=indexed, trace=bus,
+        seed=seed, backend=backend, trace=bus,
     )
     return result, mem, digest
 
@@ -66,8 +66,8 @@ def test_replay_matches_live_bit_identically(nodes, tasks, partial):
 
 @pytest.mark.parametrize("nodes,tasks,partial", SCENARIOS)
 def test_digest_identical_across_manager_modes(nodes, tasks, partial):
-    res_i, mem_i, dig_i = traced_run(nodes, tasks, partial, indexed=True)
-    res_s, mem_s, dig_s = traced_run(nodes, tasks, partial, indexed=False)
+    res_i, mem_i, dig_i = traced_run(nodes, tasks, partial, backend="array")
+    res_s, mem_s, dig_s = traced_run(nodes, tasks, partial, backend="scan")
     assert dig_i.hexdigest() == dig_s.hexdigest()
     # Not just the hash: the canonical event streams are byte-identical.
     assert [e.canonical() for e in mem_i] == [e.canonical() for e in mem_s]
