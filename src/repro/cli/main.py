@@ -556,6 +556,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         stats.sort_stats("cumulative").print_stats(25)
         print("=== cProfile hot spots (top 25 by cumulative time) ===")
         print(buf.getvalue())
+        driver = result.driver
+        if result.driver_reason is not None:
+            driver += f" ({result.driver_reason})"
+        print(f"driver: {driver}")
     _print_report(result.report, label)
     if injector is not None:
         _print_resilience(injector.resilience(result))

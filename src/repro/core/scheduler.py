@@ -331,9 +331,8 @@ class DreamScheduler:
         zero-cost when no fault campaign is active.
         """
         if self.rim.has_quarantined():
-            node = self.rim.find_quarantined_host(config)
+            node = self.requisition_quarantined(config)
             if node is not None:
-                self.rim.release_quarantined(node, reason="requisition")
                 entry = self.rim.configure_node(node, config, now=now)
                 return self._start(
                     task, now, node, entry, config,
@@ -342,6 +341,18 @@ class DreamScheduler:
                     used_closest=used_closest,
                 )
         return self._discard(task, now, reason=reason)
+
+    def requisition_quarantined(self, config: Configuration) -> Optional[Node]:
+        """Release the first quarantined node able to host ``config``.
+
+        The requisition half of :meth:`_rescue_or_discard`, shared with the
+        flat-table hot loop; returns the node (back in service, blank) or
+        None when no quarantined node is large enough.
+        """
+        node = self.rim.find_quarantined_host(config)
+        if node is not None:
+            self.rim.release_quarantined(node, reason="requisition")
+        return node
 
     def _start(
         self,

@@ -207,10 +207,17 @@ class FailureInjector:
     # -- public API --------------------------------------------------------------
 
     def arm(self) -> "FailureInjector":
-        """Schedule the first event of each enabled process; chain-schedules."""
+        """Schedule the first event of each enabled process; chain-schedules.
+
+        A simulator takes one armed injector (``sim.injector``), whose
+        scrub finishes the hot loop runs.
+        """
         if self._armed:
             raise RuntimeError("injector already armed")
+        if self.sim.injector is not None:
+            raise RuntimeError("the simulator already has an armed injector")
         self._armed = True
+        self.sim.injector = self
         if self.quarantine_enabled:
             # Requisition (scheduler-side early release) must close the same
             # spans a probation release does; the manager calls back here.
@@ -482,14 +489,25 @@ class FailureInjector:
         )
 
     def _finish_scrub(self, scrub_no: int) -> None:
+        node = self.end_scrub(scrub_no)
+        if node is not None:
+            # The freed region (and any area it unblocks) can host queued work.
+            self.sim._redispatch_from(node, int(self.sim.env.now))
+
+    def end_scrub(self, scrub_no: int) -> Optional[Node]:
+        """Scrub ``scrub_no`` is done: evict the corrupted region.
+
+        Returns the node whose region was freed, or None when the scrub is
+        stale (the node crashed mid-scrub and lost the region).  The
+        redispatch from that node is the caller's: :meth:`_finish_scrub` on
+        the generic loop, the inlined redispatch on the hot loop.
+        """
         scrub = self._scrubs.pop(scrub_no, None)
         if scrub is None:
-            return  # stale: the node crashed mid-scrub and lost the region
+            return None
         self._scrub_entries.discard(id(scrub.entry))
-        now = int(self.sim.env.now)
         self.sim.rim.finish_scrub(scrub.node, scrub.entry, scrub.scrub_task)
-        # The freed region (and any area it unblocks) can host queued work.
-        self.sim._redispatch_from(scrub.node, now)
+        return scrub.node
 
     # -- retry policy ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The flat-table hot loop: a specialised clean-run driver for ``backend="array"``.
+"""The flat-table hot loop: the fast driver for ``backend="array"`` runs.
 
 The generic :class:`~repro.framework.simulator.DReAMSim` run loop routes
 every arrival and completion through the event kernel, the four-phase
@@ -18,7 +18,7 @@ ties) — is produced exactly as the generic path produces it, so a hot run
 and a generic run of the same inputs are bit-identical
 (``tests/test_array_differential.py`` asserts this).  The loop therefore
 only engages for configurations whose behaviour it replicates completely
-(:func:`hot_eligible`):
+(:func:`hot_ineligibility` names the first clause a run fails):
 
 * array backend (``ArrayRIM`` + ``ArraySuspensionQueue``), homogeneous;
 * the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
@@ -30,11 +30,24 @@ only engages for configurations whose behaviour it replicates completely
   bypassed (the <50 % digest-overhead row in ``BENCH_perf.json``).  A bus
   with a ``MemorySink``/``JsonlSink`` keeps the generic path, which is
   also how golden traces stay backend-identical;
-* no GPP pool, no armed failure injector (no pending env events, no
-  quarantine hooks, all nodes in service), no debug invariant checking.
+* no GPP pool, no debug invariant checking, a fresh one-shot run.
 
-Anything else falls back to the generic loop — correctness first, speed
-where the envelope allows.
+**Fault campaigns run here too.**  An armed
+:class:`~repro.framework.failures.FailureInjector` schedules its events on
+the kernel (``env._queue``); the loop *adopts* them into its own heap with
+their kernel sequence numbers, so tie-breaks match the generic loop by
+construction.  Arrivals, completions (with the stale check a fault
+interrupt makes necessary), backoff retries and the redispatch a finished
+scrub starts stay on the inlined fast path.  Every other injector event —
+``seu_next``, ``crash_next``, ``burst_next``, ``repair``, ``probation``,
+the ``ArrayRIM.finish_scrub`` half of ``scrub_finish`` — and the
+scheduler's quarantine-requisition rung are *slow-path exits*: the loop
+writes its hoisted locals back, flushes its trace buffer into the bus,
+re-attaches ``rim.trace``, runs the unchanged callback, re-reads the
+locals and adopts whatever the callback scheduled.
+
+Anything outside the envelope falls back to the generic loop — the
+reference oracle, as the scan manager is for managers.
 
 This module intentionally reaches into manager/susqueue internals — it *is*
 the manager's hot path, hoisted out of per-call method dispatch; dreamlint's
@@ -46,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from math import sqrt
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.core.scheduler import DreamScheduler
@@ -67,6 +80,12 @@ from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.framework.simulator import DReAMSim
+
+# Kinds of non-arrival, non-completion event records (see run_hot).
+_RETRY = "retry"
+_SCRUB = "scrub"
+_SLOW = "slow"
+_NOOP = "noop"
 
 
 def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
@@ -91,13 +110,15 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
     )
 
 
-def hot_eligible(sim: "DReAMSim") -> bool:
-    """True when the flat-table hot loop replicates ``sim`` exactly.
+def hot_ineligibility(sim: "DReAMSim") -> Optional[str]:
+    """Why the flat-table hot loop cannot run ``sim``, or None when it can.
 
-    Every condition here guards a semantic the hot loop does not reimplement
-    (tracing, GPP offload, fault campaigns, policy ablations, debug
-    invariant checking, custom network models).  The check is cheap and runs
-    once per :meth:`DReAMSim.run`.
+    Returns the first failing clause.  Every clause guards a semantic the
+    hot loop does not reimplement (a non-array manager, JSONL/memory trace
+    sinks, GPP offload, policy ablations, debug invariant checking, custom
+    network models, a run already under way).  Fault campaigns are inside
+    the envelope.  The check is cheap and runs once per
+    :meth:`DReAMSim.run`.
     """
     rim = sim.rim
     susq = sim.susqueue
@@ -105,48 +126,63 @@ def hot_eligible(sim: "DReAMSim") -> bool:
     pol = sched.policy
     min_area = SelectionCriterion.MIN_AREA
     key_fn = susq.key_fn
-    return (
-        type(rim) is ArrayRIM
-        and type(susq) is ArraySuspensionQueue
-        and _digest_capable(sim.trace, sim)
-        and sim.gpp is None
-        and sched.gpp_pool is None
-        and sim._debug_every is None
-        and type(pol) is PlacementPolicy
+    if type(rim) is not ArrayRIM or type(susq) is not ArraySuspensionQueue:
+        return "backend is not array"
+    if not _digest_capable(sim.trace, sim):
+        return "trace bus has a sink without write_lines"
+    if sim.gpp is not None or sched.gpp_pool is not None:
+        return "GPP pool attached"
+    if sim._debug_every is not None:
+        return "invariant checking enabled"
+    if not (
+        type(pol) is PlacementPolicy
         and pol.idle is min_area
         and pol.blank is min_area
         and pol.partially_blank is min_area
-        and type(sched.network) is FixedDelayModel
-        and not sim.env._queue
-        and sim.env._now == 0
-        and not sim.tasks
-        and not sim._placements
-        and sim._pending_retries == 0
-        and rim.on_quarantine_release is None
-        and not rim._quarantined
-        and rim._failed_count == 0
-        and all(rim.t_live)
-        and not susq._order
-        and getattr(key_fn, "__func__", None) is DreamScheduler.matched_config_no
+    ):
+        return "placement policy is not the paper's"
+    if type(sched.network) is not FixedDelayModel:
+        return "network model is not FixedDelayModel"
+    if sim.env._now != 0 or sim.tasks or susq._order:
+        return "run already under way"
+    if not (
+        getattr(key_fn, "__func__", None) is DreamScheduler.matched_config_no
         and getattr(key_fn, "__self__", None) is sched
-    )
+    ):
+        return "suspension-queue key is not the matched configuration"
+    return None
 
 
 def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     """Run ``sim`` to completion through the flat-table hot loop.
 
-    Mutates ``sim`` exactly as ``sim.env.run()`` would have under the
-    :func:`hot_eligible` envelope; the caller (:meth:`DReAMSim.run`)
+    Mutates ``sim`` exactly as ``sim.env.run()`` would have inside the
+    :func:`hot_ineligibility` envelope; the caller (:meth:`DReAMSim.run`)
     finishes up (final-time housekeeping, report) identically for both
     paths.
 
     The bodies of ``ArrayRIM.assign_task`` / ``complete_task`` (including
     ``Node.add_task`` / ``remove_task`` and ``_apply_load_delta``) are
-    inlined below rather than called: every transition in the clean
-    envelope is legal by construction, the completion event carries its
-    busy entry (so no per-node task scan), and all nodes stay live (no
-    injector), which lets the ``t_live`` branches drop out.  The inlined
-    code performs the identical table updates in the identical order.
+    inlined below rather than called: every transition the loop makes is
+    legal by construction, and the completion event carries its busy entry
+    (so no per-node task scan).  The ``t_live`` branches drop out: no
+    placement phase ever selects a failed node (requisition repairs the
+    node first), and a crash interrupts every task on its node, so a live
+    completion always lands on a node in service.  The inlined code
+    performs the identical table updates in the identical order.
+
+    Event records are ``(time, seq, payload, kind, entry)`` tuples:
+
+    * arrival — ``(t, seq, task, None, None)``;
+    * completion — ``(t, seq, task, node, busy entry)``, live only while
+      ``sim._placements[task_no]`` is this very record (an SEU or crash
+      interrupt pops it, so the old completion fires as a no-op that still
+      advances the clock, as ``DReAMSim._on_complete`` does);
+    * backoff retry — ``(t, seq, task, _RETRY, None)``;
+    * scrub finish — ``(t, seq, scrub_no, _SCRUB, None)``;
+    * any other kernel event — ``(t, seq, event, _SLOW, None)``;
+    * a generic completion already stale on adoption —
+      ``(t, seq, None, _NOOP, None)``.
     """
     # Hot-path aliases: module globals and builtins rebound as locals so
     # the loop body uses LOAD_FAST instead of LOAD_GLOBAL everywhere.
@@ -284,7 +320,18 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     pw_min = pw.min
     pw_max = pw.max
     sample_system = sim._sample_system
-    tasks_append = sim.tasks.append
+    sim_tasks = sim.tasks
+    tasks_append = sim_tasks.append
+    placements = sim._placements
+    completion_events = sim._completion_events
+    export_tag = sim._export_tag
+    requisition = sched.requisition_quarantined
+    quarantined = rim._quarantined
+    injector = sim.injector
+    end_scrub = injector.end_scrub if injector is not None else None
+    env = sim.env
+    env_q = env._queue
+    fire = env.fire
     per_tick = sim._per_tick_hk
     last_hk = sim._last_hk_time
     sys_waste = sim.system_waste_total
@@ -315,16 +362,154 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     completed_s = TaskStatus.COMPLETED
     discarded_s = TaskStatus.DISCARDED
 
-    # Event records: ``(time, seq, task, node, entry)`` — ``node`` is None
-    # for an arrival, the hosting node (and its busy entry) for a
-    # completion.  All events carry the kernel's NORMAL priority, so heap
-    # order is ``(time, insertion seq)``; allocating ``seq`` at the same
-    # call sites as the generic path's ``Environment.schedule`` reproduces
-    # its tie-breaks exactly.
+    # Event records (see the docstring).  All events carry the kernel's
+    # NORMAL priority, so heap order is ``(time, insertion seq)``;
+    # allocating ``seq`` at the same call sites as the generic path's
+    # ``Environment.schedule`` — and sharing the kernel's counter with the
+    # slow-path callbacks — reproduces its tie-breaks exactly.
     heap: list = []
-    seq = 0
+    seq = env._seq
     events = 0
-    now = 0
+    now = env._now
+    arrivals_done = sim._arrivals_done
+    # The arrived task numbered ``no``, for adopted retry and generic
+    # completion events: by position when task numbers run densely in
+    # arrival order (every generated workload), else through an index over
+    # ``sim.tasks`` extended on demand.
+    task_index: dict = {}
+    indexed = 0
+
+    def task_of(no: int) -> Task:
+        nonlocal indexed
+        i = no - sim_tasks[0].task_no
+        if 0 <= i < len(sim_tasks) and sim_tasks[i].task_no == no:
+            return sim_tasks[i]
+        if no not in task_index:
+            for t in sim_tasks[indexed:]:
+                task_index[t.task_no] = t
+            indexed = len(sim_tasks)
+        return task_index[no]
+
+    def sync_out() -> None:
+        """Write the hoisted locals back onto the shared objects."""
+        nonlocal events
+        if trace_on:
+            if tr_buf:
+                data = "".join(tr_buf).encode("utf-8")
+                for _sink in tr_sinks:
+                    _sink.write_lines(data, len(tr_buf))
+                tr_buf.clear()
+            tb.resume_at(tr_seq)
+        counters.scheduling_steps = sched_steps
+        counters.housekeeping_steps = hk_steps
+        state_counts["busy"] = sc_busy
+        state_counts["idle"] = sc_idle
+        state_counts["blank"] = sc_blank
+        stats.scheduled = st_scheduled
+        stats.suspended = st_suspended
+        stats.discarded = st_discarded
+        stats.closest_match_used = st_closest
+        stats.total_config_time_paid = st_cfg_paid
+        stats.total_evicted_area = st_evicted
+        sim._arrivals_done = arrivals_done
+        sim._last_hk_time = last_hk
+        sim.system_waste_total = sys_waste
+        sim._system_waste_samples = waste_samples
+        sim._placed_count = placed
+        pw.n = pw_n
+        pw.total = pw_total
+        pw._mean = pw_mean
+        pw._m2 = pw_m2
+        pw.min = pw_min
+        pw.max = pw_max
+        rim.running_tasks_count = running_count  # dreamlint: disable=DL005 (write-back of the hoisted aggregate)
+        rim._load_sum_i = load_sum_i  # dreamlint: disable=DL005 (write-back of the hoisted aggregate)
+        rim._load_sumsq_i = load_sumsq_i  # dreamlint: disable=DL005 (write-back of the hoisted aggregate)
+        monitor._last_time = mon_last
+        env._now = now
+        env._seq = seq
+        env._event_count += events
+        events = 0
+
+    def sync_in() -> None:
+        """Re-read the hoisted locals after generic code mutated the objects."""
+        nonlocal sched_steps, hk_steps, sc_busy, sc_idle, sc_blank
+        nonlocal st_scheduled, st_suspended, st_discarded
+        nonlocal st_closest, st_cfg_paid, st_evicted
+        nonlocal last_hk, sys_waste, waste_samples, placed
+        nonlocal pw_n, pw_total, pw_mean, pw_m2, pw_min, pw_max
+        nonlocal running_count, load_sum_i, load_sumsq_i
+        nonlocal wasted_total, conf_total, mon_last, seq, tr_seq
+        sched_steps = counters.scheduling_steps
+        hk_steps = counters.housekeeping_steps
+        sc_busy = state_counts["busy"]
+        sc_idle = state_counts["idle"]
+        sc_blank = state_counts["blank"]
+        st_scheduled = stats.scheduled
+        st_suspended = stats.suspended
+        st_discarded = stats.discarded
+        st_closest = stats.closest_match_used
+        st_cfg_paid = stats.total_config_time_paid
+        st_evicted = stats.total_evicted_area
+        last_hk = sim._last_hk_time
+        sys_waste = sim.system_waste_total
+        waste_samples = sim._system_waste_samples
+        placed = sim._placed_count
+        pw_n = pw.n
+        pw_total = pw.total
+        pw_mean = pw._mean
+        pw_m2 = pw._m2
+        pw_min = pw.min
+        pw_max = pw.max
+        running_count = rim.running_tasks_count
+        load_sum_i = rim._load_sum_i
+        load_sumsq_i = rim._load_sumsq_i
+        wasted_total = rim._wasted_total
+        conf_total = rim._configured_total
+        mon_last = monitor._last_time
+        seq = env._seq
+        if trace_on:
+            tr_seq = tb._seq
+
+    def adopt() -> None:
+        """Move the events generic code scheduled on the kernel into the heap.
+
+        They keep their kernel sequence numbers.  A generic completion is
+        re-pointed at its fast record (or becomes a no-op when
+        ``DReAMSim._export_tag`` already calls it stale); retries and scrub
+        finishes get fast records; the rest fire through :func:`slow`.
+        """
+        for when, _prio, eseq, ev in env_q:
+            tag = ev.tag
+            kind = tag[0] if tag else None
+            if kind == "complete":
+                tno = tag[1]
+                if export_tag(tag, ev)[0] == "complete":
+                    p = placements[tno]
+                    rec = (when, eseq, task_of(tno), p.node, p.entry)
+                    placements[tno] = rec
+                    del completion_events[tno]
+                else:
+                    rec = (when, eseq, None, _NOOP, None)
+            elif kind == "retry":
+                rec = (when, eseq, task_of(tag[1]), _RETRY, None)
+            elif kind == "scrub_finish" and end_scrub is not None:
+                rec = (when, eseq, tag[1], _SCRUB, None)
+            else:
+                rec = (when, eseq, ev, _SLOW, None)
+            hpush(heap, rec)
+        env_q.clear()
+
+    def slow(fn: Callable[[Any], Any], arg: object) -> Any:
+        """One slow-path exit: run generic code ``fn(arg)`` on synced state."""
+        sync_out()
+        rim.trace = tb
+        out = fn(arg)
+        rim.trace = None
+        sync_in()
+        if env_q:
+            adopt()
+        return out
 
     def matched_cno(task: Task) -> Optional[int]:
         # DreamScheduler.matched_config: memoised exact-then-closest match.
@@ -414,15 +599,16 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                     kind = "partial_configuration"
             if node is None:
                 # Phase 4: FindAnyIdleNode (Alg. 1); full mode requires an
-                # all-idle node (whole-node reconfiguration).  The
-                # ``_failed_count`` term of the miss charge is zero inside
-                # the envelope (no injector, all nodes live).
+                # all-idle node (whole-node reconfiguration).
                 lst4 = sr if partial else sa
                 if not lst4 or lst4[-1] < req << pos_bits:
                     if partial:
-                        ss += len(blank_m) + rim._entries_total
+                        ss += rim._failed_count + len(blank_m) + rim._entries_total
                     else:
-                        ss += sc_busy + len(blank_m) + rim._idle_node_entries
+                        ss += (
+                            rim._failed_count + sc_busy + len(blank_m)
+                            + rim._idle_node_entries
+                        )
                 else:
                     counters.scheduling_steps = steps0 + ss
                     counters.housekeeping_steps = hk_steps
@@ -508,19 +694,25 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                             tr_app(f'{{"ev":"Suspended","hk":{hk_steps},"qlen":{len(sq_order)},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
                             tr_seq += 1
                         return 1
-                # Queue full or nothing can ever host it: discard.  (The
-                # quarantine rescue rung is unreachable — the eligibility
-                # gate admits no quarantined nodes and no injector.)
-                task.status = discarded_s
-                task._history.append((now, discarded_s))
-                sched_steps = steps0 + ss
-                task.scheduling_steps += ss
-                st_discarded += 1
-                if trace_on:
-                    reason = "queue_full" if exists else "no_placement"
-                    tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"{reason}","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
-                    tr_seq += 1
-                return 2
+                # Queue full or nothing can ever host it: requisition a
+                # quarantined node (DreamScheduler._rescue_or_discard's
+                # rung, a slow-path exit), else discard.
+                if quarantined:
+                    sched_steps = steps0 + ss
+                    node = slow(requisition, config)
+                    ss = sched_steps - steps0
+                if node is None:
+                    task.status = discarded_s
+                    task._history.append((now, discarded_s))
+                    sched_steps = steps0 + ss
+                    task.scheduling_steps += ss
+                    st_discarded += 1
+                    if trace_on:
+                        reason = "queue_full" if exists else "no_placement"
+                        tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"{reason}","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                        tr_seq += 1
+                    return 2
+                kind = "configuration"
             counters.housekeeping_steps = hk_steps
             state_counts["busy"] = sc_busy
             state_counts["idle"] = sc_idle
@@ -650,52 +842,81 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 tr_seq += 1
         placed += 1
         seq += 1
-        hpush(
-            heap, (now + config_time + comm + task.required_time, seq, task, node, entry)
-        )
+        rec = (now + config_time + comm + task.required_time, seq, task, node, entry)
+        placements[task.task_no] = rec
+        hpush(heap, rec)
         return 0
 
     # -- main event loop ---------------------------------------------------
+    # Events an armed injector scheduled before the run (arm() runs first,
+    # so they hold the lower sequence numbers, as in the generic loop).
+    if env_q:
+        adopt()
     arr_iter = sim._arrivals
-    arrivals_done = sim._arrivals_done
     arrival = next(arr_iter, None)
     if arrival is None:
         arrivals_done = True
     else:
         seq += 1
         at = arrival.at
-        hpush(heap, (at if at > 0 else 0, seq, arrival.task, None, None))
+        hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
 
     while heap:
-        now, _s, task, cnode, centry = hpop(heap)
+        rec = hpop(heap)
+        now, _s, task, cnode, centry = rec
         events += 1
-        if now > last_hk:
-            if per_tick:
-                hk_steps += (now - last_hk) * per_tick
-            last_hk = now
-        if cnode is None:
-            # -- arrival (DReAMSim._on_arrival) ---------------------------
-            task.create_time = now
-            task._history.append((now, created_s))
-            tasks_append(task)
-            if trace_on:
-                tr_app(f'{{"ev":"TaskArrived","hk":{hk_steps},"pref":{task.pref_config.config_no},"req":{task.required_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
-                tr_seq += 1
-                if len(tr_buf) >= 1024:
-                    data = "".join(tr_buf).encode("utf-8")
-                    for _sink in tr_sinks:
-                        _sink.write_lines(data, len(tr_buf))
-                    tr_buf.clear()
-            submit(task, now)
-            arrival = next(arr_iter, None)
-            if arrival is None:
-                arrivals_done = True
+        if centry is None:
+            if cnode is None:
+                # -- arrival (DReAMSim._on_arrival) -----------------------
+                if now > last_hk:
+                    if per_tick:
+                        hk_steps += (now - last_hk) * per_tick
+                    last_hk = now
+                task.create_time = now
+                task._history.append((now, created_s))
+                tasks_append(task)
+                if trace_on:
+                    tr_app(f'{{"ev":"TaskArrived","hk":{hk_steps},"pref":{task.pref_config.config_no},"req":{task.required_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                    tr_seq += 1
+                    if len(tr_buf) >= 1024:
+                        data = "".join(tr_buf).encode("utf-8")
+                        for _sink in tr_sinks:
+                            _sink.write_lines(data, len(tr_buf))
+                        tr_buf.clear()
+                submit(task, now)
+                arrival = next(arr_iter, None)
+                if arrival is None:
+                    arrivals_done = True
+                else:
+                    seq += 1
+                    at = arrival.at
+                    hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
+                continue
+            if cnode is _RETRY:
+                # -- backoff elapsed (FailureInjector._retry) -------------
+                sim._pending_retries -= 1
+                submit(task, now)
+                continue
+            if cnode is _SCRUB:
+                # -- scrub done (FailureInjector._finish_scrub): free the
+                #    region on the slow path, redispatch from it below ---
+                cnode = slow(end_scrub, task)
+                if cnode is None:
+                    continue  # stale: the node crashed mid-scrub
+                pos = pos_of[cnode]
             else:
-                seq += 1
-                at = arrival.at
-                hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
+                if cnode is _SLOW:
+                    slow(fire, task)
+                continue  # a _NOOP: a generic completion already stale
         else:
             # -- completion (DReAMSim._on_complete) -----------------------
+            if placements.get(task.task_no) is not rec:
+                continue  # stale: a fault interrupted the task
+            del placements[task.task_no]
+            if now > last_hk:
+                if per_tick:
+                    hk_steps += (now - last_hk) * per_tick
+                last_hk = now
             task.status = completed_s
             task._history.append((now, completed_s))
             task.completion_time = now
@@ -804,104 +1025,68 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             cv_v.append(cv)
             jn_t.append(now)
             jn_v.append(jain)
-            # -- redispatch (DreamScheduler.next_redispatch loop) ---------
-            while sq_order:
-                reclaimable = t_total[pos] - t_busy_area[pos]
-                if reclaimable <= 0:
-                    break
-                sched_steps += len(sq_order)
-                best = None
-                for e in cnode.entries:
-                    if e.task is None:
-                        bucket = by_key.get(e.config.config_no)
-                        if bucket is not None:
-                            head = bucket[0]
-                            if best is None or head < best:
-                                best = head
-                if best is not None:
-                    rec = best[2]
-                else:
-                    if reclaimable < min_cfg_area:
-                        break
-                    # first_matching_key(fits_key), inlined.
-                    for key, bucket in by_key.items():
-                        ra = req_of.get(key)
-                        if ra is None or ra > reclaimable:
-                            continue
+        # -- redispatch from the freed node (DReAMSim._redispatch_from) --
+        while sq_order:
+            reclaimable = t_total[pos] - t_busy_area[pos]
+            if reclaimable <= 0:
+                break
+            sched_steps += len(sq_order)
+            best = None
+            for e in cnode.entries:
+                if e.task is None:
+                    bucket = by_key.get(e.config.config_no)
+                    if bucket is not None:
                         head = bucket[0]
                         if best is None or head < best:
                             best = head
-                    if best is None:
-                        hk_steps += len(sq_order)
-                        break
-                    hk_steps += bl(sq_order, best) + 1
-                    rec = best[2]
-                # ArraySuspensionQueue.remove, inlined.
-                rtask = sq_task[rec]
-                triple = (sq_rank_c[rec], sq_seq_c[rec], rec)
-                del sq_order[bl(sq_order, triple)]
-                key = sq_key_c[rec]
-                bucket = by_key[key]
-                del bucket[bl(bucket, triple)]
-                if not bucket:
-                    del by_key[key]
-                sq_task[rec] = None
-                sq_key_c[rec] = None
-                sq_free.append(rec)
-                hk_steps += 1
-                rtask.sus_retry += 1
-                if trace_on:
-                    tr_app(f'{{"ev":"Resumed","hk":{hk_steps},"retry":{rtask.sus_retry},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{rtask.task_no}}}\n')
-                    tr_seq += 1
-                if submit(rtask, now) != 0:
+            if best is not None:
+                slot = best[2]
+            else:
+                if reclaimable < min_cfg_area:
                     break
-            if max_retries is not None:
-                for ex in susq_expired():
-                    ex.status = discarded_s
-                    ex._history.append((now, discarded_s))
-                    st_discarded += 1
-                    if trace_on:
-                        tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"retries","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{ex.task_no}}}\n')
-                        tr_seq += 1
+                # first_matching_key(fits_key), inlined.
+                for key, bucket in by_key.items():
+                    ra = req_of.get(key)
+                    if ra is None or ra > reclaimable:
+                        continue
+                    head = bucket[0]
+                    if best is None or head < best:
+                        best = head
+                if best is None:
+                    hk_steps += len(sq_order)
+                    break
+                hk_steps += bl(sq_order, best) + 1
+                slot = best[2]
+            # ArraySuspensionQueue.remove, inlined.
+            rtask = sq_task[slot]
+            triple = (sq_rank_c[slot], sq_seq_c[slot], slot)
+            del sq_order[bl(sq_order, triple)]
+            key = sq_key_c[slot]
+            bucket = by_key[key]
+            del bucket[bl(bucket, triple)]
+            if not bucket:
+                del by_key[key]
+            sq_task[slot] = None
+            sq_key_c[slot] = None
+            sq_free.append(slot)
+            hk_steps += 1
+            rtask.sus_retry += 1
+            if trace_on:
+                tr_app(f'{{"ev":"Resumed","hk":{hk_steps},"retry":{rtask.sus_retry},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{rtask.task_no}}}\n')
+                tr_seq += 1
+            if submit(rtask, now) != 0:
+                break
+        if max_retries is not None:
+            for ex in susq_expired():
+                ex.status = discarded_s
+                ex._history.append((now, discarded_s))
+                st_discarded += 1
+                if trace_on:
+                    tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"retries","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{ex.task_no}}}\n')
+                    tr_seq += 1
 
     # -- write back state the generic loop keeps on the objects ------------
-    if trace_on:
-        if tr_buf:
-            data = "".join(tr_buf).encode("utf-8")
-            for _sink in tr_sinks:
-                _sink.write_lines(data, len(tr_buf))
-            tr_buf.clear()
-        tb.resume_at(tr_seq)
-    counters.scheduling_steps = sched_steps
-    counters.housekeeping_steps = hk_steps
-    state_counts["busy"] = sc_busy
-    state_counts["idle"] = sc_idle
-    state_counts["blank"] = sc_blank
-    stats.scheduled = st_scheduled
-    stats.suspended = st_suspended
-    stats.discarded = st_discarded
-    stats.closest_match_used = st_closest
-    stats.total_config_time_paid = st_cfg_paid
-    stats.total_evicted_area = st_evicted
-    sim._arrivals_done = arrivals_done
-    sim._last_hk_time = last_hk
-    sim.system_waste_total = sys_waste
-    sim._system_waste_samples = waste_samples
-    sim._placed_count = placed
-    pw.n = pw_n
-    pw.total = pw_total
-    pw._mean = pw_mean
-    pw._m2 = pw_m2
-    pw.min = pw_min
-    pw.max = pw_max
-    rim.running_tasks_count = running_count  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    rim._load_sum_i = load_sum_i  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    rim._load_sumsq_i = load_sumsq_i  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    monitor._last_time = mon_last
-    env = sim.env
-    env._now = now
-    env._seq = seq
-    env._event_count += events
+    sync_out()
 
 
-__all__ = ["hot_eligible", "run_hot"]
+__all__ = ["hot_ineligibility", "run_hot"]

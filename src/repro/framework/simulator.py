@@ -23,7 +23,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.core.base import Placement, PlacementKind, ScheduleOutcome, ScheduleResult
 from repro.core.policies import PlacementPolicy
@@ -49,11 +49,12 @@ from repro.trace.events import (
 )
 from repro.workload.generator import TaskArrival
 
-from repro.framework.hotloop import hot_eligible, run_hot
+from repro.framework.hotloop import hot_ineligibility, run_hot
 from repro.framework.loadbalance import LoadBalancer
 from repro.framework.monitoring import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.framework.failures import FailureInjector
     from repro.model.gpp import GppPool
     from repro.network.delays import NetworkModel
     from repro.trace.bus import TraceBus
@@ -70,6 +71,10 @@ class SimulationResult:
     final_time: int
     partial: bool
     params: dict[str, object] = field(default_factory=dict)
+    #: Which driver ran the events (``"hot"`` or ``"generic"``) and, for
+    #: the generic loop, the reason (see :attr:`DReAMSim.driver`).
+    driver: Optional[str] = None
+    driver_reason: Optional[str] = None
 
 
 class DReAMSim:
@@ -161,7 +166,9 @@ class DReAMSim:
         self.system_waste_total = 0.0
         self._system_waste_samples = 0
         self._arrivals: Iterator[TaskArrival] = iter(arrivals)
-        self._placements: dict[int, Placement] = {}  # task_no -> placement
+        # task_no -> live placement: a Placement on the generic loop, the
+        # completion-event record on the hot loop (its stale check).
+        self._placements: dict[int, Any] = {}
         self._debug_every = debug_invariants_every
         self._sample_system = sample_system_waste
         self._placed_count = 0
@@ -193,6 +200,14 @@ class DReAMSim:
         # The failure injector maintains the count; the workload is not
         # finished while any retry is pending.
         self._pending_retries = 0
+        # The armed FailureInjector, if any (set by arm() and by an armed
+        # injector's restore).  The hot loop runs its scrub finishes.
+        self.injector: Optional["FailureInjector"] = None
+        # Which driver ran the events — "hot" (repro.framework.hotloop) or
+        # "generic" (the kernel's event loop) — and, for "generic", the
+        # first reason the hot loop declined.  None until the run starts.
+        self.driver: Optional[str] = None
+        self.driver_reason: Optional[str] = None
         # Per-tick housekeeping cost: the reference simulator advances time
         # tick-by-tick, maintaining node/config state each tick; the default
         # bills one step per node per elapsed tick (the monitoring walk).
@@ -217,22 +232,30 @@ class DReAMSim:
         """Run to completion (or to time ``until``) and build the report."""
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
-        if not self._started and until is None and hot_eligible(self):
-            # Clean array-backend run: the flat-table hot loop replays the
-            # exact event/charge/sampling semantics of the generic path an
-            # order of magnitude faster (see repro.framework.hotloop).
-            # A digest-capable bus (every sink accepts ``write_lines``) is
-            # inside the envelope: RunStarted is emitted here exactly as
-            # start() would, the loop formats every in-run event's canonical
-            # line inline, and finish() emits RunFinished — byte-identical
-            # to the generic path's stream.  ``rim.trace`` is detached for
-            # the duration so configure/evict do not double-emit through
-            # the bus.  run_hot pulls arrivals itself, so the feed must NOT
-            # be primed (that is why the hot branch bypasses start()).
-            # The cyclic collector is paused for the loop: the hot path
-            # allocates heavily but creates no cycles, and gen-0 scans of
-            # the growing task/sample lists otherwise cost >10% of the
-            # run.  Liveness is unaffected, so results are identical.
+        if self._started:
+            reason: Optional[str] = "run already started"
+        elif until is not None:
+            reason = "bounded horizon (until)"
+        else:
+            reason = hot_ineligibility(self)
+        if reason is None:
+            # The flat-table hot loop replays the exact event/charge/
+            # sampling semantics of the generic path an order of magnitude
+            # faster (see repro.framework.hotloop), fault campaigns
+            # included.  A digest-capable bus (every sink accepts
+            # ``write_lines``) is inside the envelope: RunStarted is
+            # emitted here exactly as start() would, the loop formats every
+            # in-run event's canonical line inline, and finish() emits
+            # RunFinished — byte-identical to the generic path's stream.
+            # ``rim.trace`` is detached for the duration so configure/evict
+            # do not double-emit through the bus (the loop re-attaches it
+            # around its slow-path exits).  run_hot pulls arrivals itself,
+            # so the feed must NOT be primed (that is why the hot branch
+            # bypasses start()).  The cyclic collector is paused for the
+            # loop: the hot path allocates heavily but creates no cycles,
+            # and gen-0 scans of the growing task/sample lists otherwise
+            # cost >10% of the run.  Liveness is unaffected, so results
+            # are identical.
             if self.trace is not None:
                 self.trace.emit(
                     RUN_STARTED,
@@ -242,6 +265,7 @@ class DReAMSim:
                     sample_system=self._sample_system,
                 )
             self._started = True
+            self.driver = "hot"
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()
@@ -254,6 +278,8 @@ class DReAMSim:
                 if gc_was_enabled:
                     gc.enable()
             return self.finish()
+        if self.driver is None:
+            self.driver, self.driver_reason = "generic", reason
         if not self._started:
             self.start()
         self.env.run(until=until)
@@ -280,6 +306,8 @@ class DReAMSim:
                 sample_system=self._sample_system,
             )
         self._started = True
+        if self.driver is None:
+            self.driver, self.driver_reason = "generic", "windowed run (start)"
         self._feed_next_arrival()
 
     def run_to_end(self) -> SimulationResult:
@@ -314,6 +342,8 @@ class DReAMSim:
                 "configs": len(self.rim.configs),
                 "partial": self.partial,
             },
+            driver=self.driver,
+            driver_reason=self.driver_reason,
         )
 
     # -- incremental ingest (service mode) --------------------------------------
@@ -782,6 +812,8 @@ class DReAMSim:
         if injector is not None:
             # Phase 2: entries exist now; bind scrubs, timers, log, RNG.
             injector.restore_state(injector_state)  # type: ignore[attr-defined]
+            if injector_state["armed"]:  # type: ignore[index]
+                self.injector = injector  # type: ignore[assignment]
         self.susqueue.restore_state(state["susqueue"], task_of)
         self.scheduler.stats.restore(state["scheduler_stats"])
         self.counters.scheduling_steps = state["counters"]["ss"]
@@ -839,6 +871,7 @@ class DReAMSim:
         if self.trace is not None and state["trace_seq"] is not None:
             self.trace.resume_at(state["trace_seq"])
         self._started = True
+        self.driver, self.driver_reason = "generic", "restored from a snapshot"
 
     def _event_resolver(
         self, task_of: Callable[[int], Task], injector: Optional[object]

@@ -25,6 +25,8 @@ keeps the serialization honest as internals evolve.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -109,9 +111,26 @@ class Snapshot:
         )
 
     def write(self, path: Union[str, Path]) -> Path:
-        """Write the snapshot to a file; returns the path."""
+        """Write the snapshot to a file atomically; returns the path.
+
+        The JSON goes to a temporary file in the target's directory and is
+        published with ``os.replace``, as ``ResultCache.store`` publishes
+        cache entries (neither fsyncs): a write that fails midway leaves
+        the previous checkpoint at ``path`` byte-identical and removes its
+        temporary file.
+        """
         p = Path(path)
-        p.write_text(self.to_json() + "\n", encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=".tmp-", suffix=".snapshot")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(self.to_json() + "\n")
+            os.replace(tmp, p)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return p
 
     @classmethod

@@ -94,7 +94,11 @@ class JsonlTailSource:
     One record per line: ``{"no": 7, "at": 120, "req": 900, "pref": 3}``
     with optional ``"data"``, and — for a preference outside the system's
     configuration list — ``"pref_area"`` / ``"pref_ctime"`` to fabricate
-    it.  :meth:`poll` reads newly appended complete lines (a trailing
+    it.  ``no``, ``req``, ``pref`` and the two ``pref_*`` fields must be
+    integers (``bool`` is not one), ``at`` a non-negative integer tick, and
+    ``no`` unique on this source; a record breaking any of these is
+    rejected like a malformed line.
+    :meth:`poll` reads newly appended complete lines (a trailing
     partial line is left for the next poll); the file is *open-ended*: the
     source only reports :attr:`exhausted` after :meth:`close` marks the
     producer done, mirroring ``DReAMSim.close_ingest``.
@@ -107,6 +111,7 @@ class JsonlTailSource:
         self._offset = 0  # byte offset of the first line not yet parsed
         self._lines = 0  # complete lines consumed so far (blank ones too)
         self._buffer: list[TaskArrival] = []
+        self._seen: set[int] = set()  # task numbers of accepted records
         self._closed = False
 
     def close(self) -> None:
@@ -148,7 +153,15 @@ class JsonlTailSource:
         return count
 
     def _parse(self, rec: dict) -> TaskArrival:
-        pref_no = rec["pref"]
+        no, at, req, pref_no = rec["no"], rec["at"], rec["req"], rec["pref"]
+        for name in ("no", "req", "at", "pref", "pref_area", "pref_ctime"):
+            value = rec.get(name, 0)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if at < 0:
+            raise ValueError(f"at must be a non-negative tick, got {at}")
+        if no in self._seen:
+            raise ValueError(f"duplicate task number {no}")
         pref = self._configs.get(pref_no)
         if pref is None:
             pref = self._fabricated.get(pref_no)
@@ -165,12 +178,13 @@ class JsonlTailSource:
             )
             self._fabricated[pref_no] = pref
         task = Task(
-            task_no=rec["no"],
-            required_time=rec["req"],
+            task_no=no,
+            required_time=req,
             pref_config=pref,
             data=rec.get("data"),
         )
-        return TaskArrival(at=rec["at"], task=task)
+        self._seen.add(no)
+        return TaskArrival(at=at, task=task)
 
     def take_until(self, t: int) -> list[TaskArrival]:
         """Poll the file, then release the buffered arrivals with ``at <= t``."""

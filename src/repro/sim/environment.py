@@ -93,8 +93,17 @@ class Environment:
             raise SimulationError("event queue is empty")
         when, _prio, _seq, event = heapq.heappop(self._queue)
         self._now = when
-        event._status = EventStatus.FIRED
         self._event_count += 1
+        self.fire(event)
+
+    def fire(self, event: Event) -> None:
+        """Run a dequeued event's callbacks at the current clock.
+
+        The second half of :meth:`step`, shared with drivers that keep
+        their own event heap (the flat-table hot loop) and hand the events
+        scheduled here back to the kernel's own firing semantics.
+        """
+        event._status = EventStatus.FIRED
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)

@@ -82,7 +82,7 @@ class DigestSink:
     event) the sink accepts :meth:`write_lines` — pre-encoded canonical
     lines in bulk — which is what the array backend's hot loop feeds it;
     a bus whose sinks all support ``write_lines`` is what
-    :func:`repro.framework.hotloop.hot_eligible` calls digest-capable.
+    :func:`repro.framework.hotloop.hot_ineligibility` calls digest-capable.
     """
 
     _FLUSH_BYTES = 65536

@@ -23,11 +23,15 @@ Five layers of evidence:
    repair, evict, blank) and FindAnyIdleNode's per-branch step charging,
    on twin managers of both backends, with the invariant checker after
    every step.
-3. **Hot-vs-generic differential** — the specialized clean-run hot loop
+3. **Hot-vs-generic differential** — the flat-table hot loop
    (:func:`repro.framework.hotloop.run_hot`) against the generic event
-   loop on the same array backend, field by field (the generic path is
-   forced by an unreachable ``debug_invariants_every`` threshold, which
-   makes ``hot_eligible`` decline without ever running the checker).
+   loop on the same array backend, field by field, on clean runs and on
+   every fault class (SEU in both modes, crash/repair, bursts, quarantine
+   with probation and requisition, retry-budget exhaustion, instant and
+   backoff resubmits, a crash tied with a completion on one tick).  The
+   generic path is forced by an unreachable ``debug_invariants_every``
+   threshold, which makes the hot loop decline without ever running the
+   checker; each run's ``driver`` record proves which loop ran.
 4. **Property-based free-list interleavings** — random add/remove/expired
    scripts against :class:`~repro.resources.arraycore.ArraySuspensionQueue`,
    twinned with the reference queue and cross-checked by
@@ -54,6 +58,7 @@ from repro.rng.distributions import Constant, UniformInt
 from repro.trace import DigestSink, MemorySink, TraceBus
 from repro.workload import ConfigSpec, NodeSpec, TaskSpec
 from repro.workload.generator import (
+    TaskArrival,
     generate_configs,
     generate_nodes,
     generate_task_stream,
@@ -474,10 +479,181 @@ HOT_CASES = [
 )
 def test_hot_loop_matches_generic_loop(case):
     hot = quick_simulation(backend="array", **case)
-    # An unreachable invariant-check threshold makes hot_eligible decline,
+    # An unreachable invariant-check threshold makes the hot loop decline,
     # forcing the generic event loop without ever running the checker.
     generic = quick_simulation(backend="array", debug_invariants_every=10**9, **case)
+    assert (hot.driver, generic.driver) == ("hot", "generic")
+    assert generic.driver_reason == "invariant checking enabled"
     assert full_fingerprint(hot) == full_fingerprint(generic)
+
+
+def _events(kind, **fields):
+    """Predicate: the reference stream holds an event of ``kind`` with ``fields``."""
+
+    def has(stream):
+        return any(
+            e.type == kind and all(e.fields.get(k) == v for k, v in fields.items())
+            for e in stream
+        )
+
+    return has
+
+
+#: Fault campaigns on the hot loop vs the generic loop: (campaign knobs,
+#: simulator knobs, a predicate proving the reference run exercised the
+#: fault class).
+FAULT_HOT_CASES = {
+    "seu-partial": (
+        dict(partial=True, seu_rate=150, scrub_factor=2, retry_budget=3,
+             backoff_base=16, backoff_cap=1024),
+        {},
+        _events("ConfigFault"),
+    ),
+    "seu-full": (
+        dict(partial=False, seu_rate=150, scrub_factor=2, retry_budget=3,
+             backoff_base=16, backoff_cap=1024),
+        {},
+        _events("ConfigFault"),
+    ),
+    "crash-repair-max-failures": (
+        dict(mtbf=300, mttr=400, max_failures=8),
+        {},
+        _events("NodeRepaired"),
+    ),
+    "burst": (
+        dict(burst_rate=900, burst_size=3, burst_group=4, mttr=500,
+             backoff_base=10, retry_budget=4, max_failures=12),
+        {},
+        _events("NodeFailed", cls="burst"),
+    ),
+    "quarantine-probation": (
+        dict(mtbf=2500, mttr=600, quarantine_threshold=2, probation=2000,
+             health_half_life=1000),
+        {},
+        _events("NodeProbation", reason="probation"),
+    ),
+    "quarantine-requisition": (
+        dict(mtbf=250, mttr=300, quarantine_threshold=1500, probation=3000,
+             health_half_life=5000, retry_budget=4, max_failures=30),
+        dict(max_queue_length=2),
+        _events("NodeProbation", reason="requisition"),
+    ),
+    "retry-budget-exhausted": (
+        dict(seu_rate=600, retry_budget=1),
+        {},
+        _events("Discarded", reason="retry_budget"),
+    ),
+    "instant-resubmit": (
+        dict(mtbf=500, mttr=300, seu_rate=800, backoff_base=0, retry_budget=4,
+             max_failures=10),
+        {},
+        _events("TaskInterrupted", cls="crash"),
+    ),
+    "backoff": (
+        dict(mtbf=500, mttr=300, seu_rate=800, backoff_base=40, backoff_cap=300,
+             retry_budget=4, max_failures=10),
+        {},
+        _events("TaskRetry"),
+    ),
+}
+
+
+def sparse_workload(spec):
+    """The spec's workload with task numbers 1, 4, 7, ... instead of 0, 1, 2, ..."""
+    rng = RNG(seed=spec.seed)
+    nodes = generate_nodes(NodeSpec(count=spec.nodes), rng)
+    configs = generate_configs(ConfigSpec(count=spec.configs), rng)
+    stream = list(generate_task_stream(TaskSpec(count=spec.tasks), configs, rng))
+    for arrival in stream:
+        arrival.task.task_no = 3 * arrival.task.task_no + 1
+    return nodes, configs, stream
+
+
+def run_fault_arm(knobs, sim_knobs, generic, sparse=False):
+    """One campaign on the hot loop, or on the generic loop with a memory sink."""
+    digest = DigestSink()
+    memory = MemorySink()
+    spec = FaultCampaignSpec(nodes=30, configs=15, tasks=400, seed=11, **knobs)
+    extra = dict(debug_invariants_every=10**9) if generic else {}
+    if sparse:
+        extra["workload"] = sparse_workload(spec)
+    sinks = (memory, digest) if generic else (digest,)
+    result, injector = run_campaign(spec, trace=TraceBus(*sinks), **sim_knobs, **extra)
+    return result, injector.resilience(result), digest.hexdigest(), memory
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_HOT_CASES))
+def test_fault_campaign_hot_loop_matches_generic_loop(case):
+    knobs, sim_knobs, exercised = FAULT_HOT_CASES[case]
+    hot, hot_res, hot_digest, _ = run_fault_arm(knobs, sim_knobs, generic=False)
+    ref, ref_res, ref_digest, stream = run_fault_arm(knobs, sim_knobs, generic=True)
+    # Every fault class runs on the hot loop; the reference is generic.
+    assert (hot.driver, hot.driver_reason) == ("hot", None)
+    assert ref.driver == "generic"
+    assert exercised(stream), case
+    assert full_fingerprint(hot) == full_fingerprint(ref)
+    assert hot_res.as_dict() == ref_res.as_dict()
+    assert hot_digest == ref_digest
+    check_invariants(hot.load.rim)
+
+
+@pytest.mark.parametrize("case", ["instant-resubmit", "backoff"])
+def test_fault_campaign_with_sparse_task_numbers(case):
+    """Retry and resubmit events name their task by number; the hot loop
+    resolves numbers that do not match arrival positions too."""
+    knobs, sim_knobs, _ = FAULT_HOT_CASES[case]
+    hot, hot_res, hot_digest, _ = run_fault_arm(knobs, sim_knobs, False, sparse=True)
+    ref, ref_res, ref_digest, _ = run_fault_arm(knobs, sim_knobs, True, sparse=True)
+    assert hot.driver == "hot" and hot.tasks[-1].task_no % 3 == 1
+    assert full_fingerprint(hot) == full_fingerprint(ref)
+    assert hot_res.as_dict() == ref_res.as_dict()
+    assert hot_digest == ref_digest
+
+
+def _one_task_crash(crash_after_completion, generic):
+    """One task finishing at t=110 on node 0, and a crash of node 0 at t=110.
+
+    The crash is an untagged kernel event, so the hot loop runs it as a
+    generic slow-path exit.  Inserted before the run it precedes the
+    completion in the t=110 tie (the completion goes stale and the task
+    restarts); inserted from a t=50 event it follows it (harmless).
+    """
+    configs = [Configuration(config_no=0, req_area=400, config_time=10)]
+    nodes = [Node(node_no=0, total_area=1000), Node(node_no=1, total_area=1000)]
+    task = Task(task_no=0, required_time=100, pref_config=configs[0])
+    digest = DigestSink()
+    sim = DReAMSim(
+        nodes, configs, [TaskArrival(at=0, task=task)], trace=TraceBus(digest),
+        debug_invariants_every=10**9 if generic else None,
+    )
+    inj = FailureInjector(sim, mttr=Constant(50), rng=RNG(seed=1))
+
+    def crash():
+        inj._crash(nodes[0], int(sim.env.now))
+
+    if crash_after_completion:
+        sim.env.call_at(50, lambda: sim.env.call_at(110, crash))
+    else:
+        sim.env.call_at(110, crash)
+    result = sim.run()
+    return result, inj, digest.hexdigest()
+
+
+@pytest.mark.parametrize("after", [False, True], ids=["crash-first", "completion-first"])
+def test_crash_tied_with_completion_hot_matches_generic(after):
+    hot, hot_inj, hot_digest = _one_task_crash(after, generic=False)
+    ref, ref_inj, ref_digest = _one_task_crash(after, generic=True)
+    assert hot.driver == "hot" and ref.driver == "generic"
+    task = hot.tasks[0]
+    if after:
+        assert task.completion_time == 110 and hot_inj.tasks_interrupted == 0
+    else:
+        # The t=110 completion went stale; the restart finishes at 220.
+        assert task.completion_time == 220 and hot_inj.tasks_interrupted == 1
+    assert full_fingerprint(hot) == full_fingerprint(ref)
+    assert hot_inj.failure_count == ref_inj.failure_count == 1
+    assert hot_digest == ref_digest
+    check_invariants(hot.load.rim)
 
 
 # -- 4. property-based free-list interleavings ---------------------------------

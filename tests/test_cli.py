@@ -53,6 +53,18 @@ class TestRunCommand:
         parsed = parse_report_xml(xml)
         assert parsed["params"]["nodes"] == 8
 
+    def test_profile_names_the_driver(self, tmp_path, capsys):
+        base = ["run", "--nodes", "8", "--tasks", "40", "--configs", "5", "--seed", "1"]
+        faults = ["--seu-rate", "300", "--retry-budget", "2"]
+        assert main(base + faults) == 0
+        assert "driver:" not in capsys.readouterr().out  # default stdout unchanged
+        assert main(base + faults + ["--profile"]) == 0
+        assert "\ndriver: hot\n" in capsys.readouterr().out
+        trace = tmp_path / "t.jsonl"
+        assert main(base + ["--profile", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "\ndriver: generic (trace bus has a sink without write_lines)\n" in out
+
     def test_full_mode(self, capsys):
         rc = main(["run", "--nodes", "8", "--tasks", "40", "--configs", "5", "--mode", "full"])
         assert rc == 0

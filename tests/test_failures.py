@@ -171,6 +171,10 @@ class TestFailureInjection:
         ).arm()
         with pytest.raises(RuntimeError):
             inj.arm()
+        second = FailureInjector(sim, mtbf=Constant(100), mttr=Constant(10), rng=RNG(3))
+        with pytest.raises(RuntimeError, match="already has an armed injector"):
+            second.arm()
+        assert sim.injector is inj
 
     def test_events_recorded(self):
         _, injector = run_with_failures(mtbf=UniformInt(1000, 2500))

@@ -1,6 +1,7 @@
 """Service mode: windowed driving, mid-run metrics, sources, resume wiring."""
 
 import json
+import os
 
 import pytest
 
@@ -196,6 +197,78 @@ def test_jsonl_tail_source_never_skips_past_a_malformed_line(tmp_path):
     with pytest.raises(ValueError, match=r"line 2:"):
         src.take_until(100)
     assert [a.task.task_no for a in src._buffer] == [0]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"no": 1, "at": -5}, "non-negative"),
+        ({"no": 1, "at": 12.5}, "at must be an integer"),
+        ({"no": 1, "at": True}, "at must be an integer"),
+        ({"no": 1.0, "at": 12}, "no must be an integer"),
+        ({"no": 1, "at": 12, "req": 10.5}, "req must be an integer"),
+        ({"no": 1, "at": 12, "req": False}, "req must be an integer"),
+        ({"no": 0, "at": 12}, "duplicate task number 0"),
+        ({"no": 1, "at": 12, "pref": 999, "pref_area": 12.5}, "pref_area must be an integer"),
+        ({"no": 1, "at": 12, "pref": 999, "pref_area": 50, "pref_ctime": 2.5},
+         "pref_ctime must be an integer"),
+        ({"no": 1, "at": 12, "pref": "3"}, "pref must be an integer"),
+    ],
+)
+def test_jsonl_tail_source_rejects_invalid_records(tmp_path, bad, message):
+    """good / invalid / good: each invalid record is rejected with its line
+    number on every poll, and the record after it is never consumed."""
+    rng = RNG(seed=7)
+    generate_nodes(NodeSpec(count=5), rng)
+    configs = generate_configs(ConfigSpec(count=4), rng)
+    known_no = configs[0].config_no
+    record = {"req": 50, "pref": known_no, **bad}
+    path = tmp_path / "feed.jsonl"
+    path.write_text(
+        json.dumps({"no": 0, "at": 10, "req": 50, "pref": known_no}) + "\n"
+        + json.dumps(record) + "\n"
+        + json.dumps({"no": 2, "at": 30, "req": 50, "pref": known_no}) + "\n"
+    )
+    src = JsonlTailSource(path, configs)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"line 2: .*{message}"):
+            src.poll()
+        assert [a.task.task_no for a in src._buffer] == [0]
+
+
+def test_snapshot_write_failing_midway_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A checkpoint write that raises halfway leaves the previous file
+    byte-identical and no temporary file in the directory."""
+    svc = ServiceSimulator(CLEAN_SMALL, backend="array")
+    svc.advance_to(300)
+    path = svc.checkpoint().write(tmp_path / "cp.json")
+    before = path.read_bytes()
+    svc.advance_to(600)
+    newer = svc.checkpoint()
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: HalfWriter(real_fdopen(*a, **k)))
+    with pytest.raises(OSError, match="disk full"):
+        newer.write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json"]
+    assert newer.write(path).read_bytes() != before  # a clean write publishes
 
 
 def test_service_jsonl_persistence_continues_across_resume(tmp_path):
