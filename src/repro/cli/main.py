@@ -498,8 +498,27 @@ def _run_seed_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _driver_line(result) -> str:
+    """``hot``, or ``generic (<first clause the hot loop declined on>)``."""
+    if result.driver_reason is None:
+        return str(result.driver)
+    return f"{result.driver} ({result.driver_reason})"
+
+
+def _warn_seu_without_budget(args: argparse.Namespace) -> None:
+    """One stderr line: an SEU campaign without a retry budget can livelock."""
+    if getattr(args, "seu_rate", None) is not None and args.retry_budget is None:
+        print(
+            "warning: --seu-rate without --retry-budget: a dense SEU storm "
+            "can interrupt tasks faster than they finish and never end "
+            "(DESIGN.md §10); set --retry-budget to bound it",
+            file=sys.stderr,
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """``dreamsim run``: one simulation, Table I report, optional XML."""
+    _warn_seu_without_budget(args)
     if args.seeds != 1:
         return _run_seed_sweep(args)
     profiler = None
@@ -556,10 +575,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         stats.sort_stats("cumulative").print_stats(25)
         print("=== cProfile hot spots (top 25 by cumulative time) ===")
         print(buf.getvalue())
-        driver = result.driver
-        if result.driver_reason is not None:
-            driver += f" ({result.driver_reason})"
-        print(f"driver: {driver}")
+        print(f"driver: {_driver_line(result)}")
     _print_report(result.report, label)
     if injector is not None:
         _print_resilience(injector.resilience(result))
@@ -598,40 +614,42 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.service import ReplaySource, ServiceSimulator, Snapshot, SnapshotError
-    from repro.trace.bus import read_jsonl
+    from repro.trace.bus import head_lines
 
     spec = _campaign_spec_from_args(args)
     if args.swf:
         spec = dataclasses.replace(spec, tasks=0)
     backend = args.backend
+    _warn_seu_without_budget(args)
 
     if args.resume:
-        prefix = []
-        if args.trace and Path(args.trace).exists():
-            prefix = read_jsonl(args.trace)
-        else:
+        if not (args.trace and Path(args.trace).exists()):
             print(
                 "error: --resume needs --trace pointing at the original "
                 "service's JSONL trace (the prefix up to the cut)",
                 file=sys.stderr,
             )
             return 2
+        # The prefix stays canonical lines (bytes) end to end: it is folded
+        # into the new sinks as it is, never parsed or re-encoded.
+        prefix = Path(args.trace).read_bytes()
         try:
             snap = Snapshot.read(args.resume)
-            if snap.trace_seq is not None and len(prefix) > snap.trace_seq:
-                # The old service kept running past this checkpoint before it
-                # died: drop the post-cut tail and rewrite the file to just
-                # the prefix so the resumed stream stays seq-contiguous.
-                prefix = prefix[: snap.trace_seq]
-                from repro.trace.bus import write_jsonl
-
-                write_jsonl(args.trace, prefix)
-                print(
-                    f"truncated {args.trace} to the checkpoint's "
-                    f"{snap.trace_seq} events"
-                )
+            if snap.trace_seq is not None:
+                head = head_lines(prefix, snap.trace_seq)
+                if len(head) < len(prefix):
+                    # The old service kept running past this checkpoint
+                    # before it died: drop the post-cut tail and rewrite the
+                    # file to just the prefix, verbatim, so the resumed
+                    # stream stays seq-contiguous.
+                    prefix = head
+                    Path(args.trace).write_bytes(prefix)
+                    print(
+                        f"truncated {args.trace} to the checkpoint's "
+                        f"{snap.trace_seq} events"
+                    )
             svc = ServiceSimulator.resume(
-                snap, spec, backend=backend, prefix_events=prefix,
+                snap, spec, backend=backend, prefix_lines=prefix,
                 jsonl_path=args.trace,
             )
         except SnapshotError as exc:
@@ -667,9 +685,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"checkpoint at t={now} -> {path}")
             next_cp += args.checkpoint_every
         source_alive = svc.source is not None and not svc.source.exhausted
-        if svc.sim.env.pending_count == 0 and not source_alive:
+        if svc.sim.pending_count == 0 and not source_alive:
             break
     result = svc.drain()
+    print(f"driver: {_driver_line(result)}", file=sys.stderr)
     label = (
         f"serve / {args.mode} / {spec.nodes} nodes / "
         f"{len(svc.memory)} events / seed {spec.seed}"

@@ -22,15 +22,24 @@ only engages for configurations whose behaviour it replicates completely
 
 * array backend (``ArrayRIM`` + ``ArraySuspensionQueue``), homogeneous;
 * the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
-* no trace bus attached, *or* a digest-capable bus — one whose sinks all
-  accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``):
-  the loop then builds each canonical line inline with the exact stamps the
-  generic path's ``TraceBus.emit`` would produce, so the digest stays
-  byte-identical while the bus's per-event dict/object machinery is
-  bypassed (the <50 % digest-overhead row in ``BENCH_perf.json``).  A bus
-  with a ``MemorySink``/``JsonlSink`` keeps the generic path, which is
-  also how golden traces stay backend-identical;
-* no GPP pool, no debug invariant checking, a fresh one-shot run.
+* no GPP pool, no debug invariant checking.
+
+**One canonical line per event.**  With a trace bus attached the loop builds
+each event's canonical JSON line inline — an f-string with the exact stamps
+the generic path's ``TraceBus.emit`` would produce — batches the lines, and
+hands every batch to :meth:`TraceBus.write_lines`.  Every shipped sink
+(``DigestSink``, ``MemorySink``, ``JsonlSink``) consumes the bytes as they
+are, so the stream is encoded once whatever sinks listen; a sink without
+``write_lines`` gets the batch parsed back into events.
+
+**Windows and parking.**  :func:`run_hot` takes an ``until`` horizon: it
+fires every event due by then, leaves the clock at the last fired event
+(the kernel's ``idle_advance=False``), writes its hoisted locals back and
+*parks* — the loop is a suspended generator on the simulator, its heap in
+``sim._hot_heap`` — so the next window continues where this one stopped
+with no rebuild.  Generic code that needs the kernel form of the queue (a
+checkpoint, the generic loop) calls :func:`spill`, the inverse of the
+loop's adoption step; the next window adopts the events back.
 
 **Fault campaigns run here too.**  An armed
 :class:`~repro.framework.failures.FailureInjector` schedules its events on
@@ -57,10 +66,12 @@ DL005 manager-state rule exempts it alongside the managers themselves.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from functools import partial
 from heapq import heappop, heappush
 from math import sqrt
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
+from repro.core.base import Placement, PlacementKind
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.core.scheduler import DreamScheduler
 from repro.framework.loadbalance import LoadSnapshot
@@ -76,6 +87,7 @@ from repro.resources.arraycore import (
     ArraySuspensionQueue,
 )
 from repro.resources.susqueue import NO_KEY
+from repro.sim.core import PRIORITY_NORMAL
 from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,16 +98,17 @@ _RETRY = "retry"
 _SCRUB = "scrub"
 _SLOW = "slow"
 _NOOP = "noop"
+#: The horizon of an unbounded window: later than any event time.
+_FOREVER = 1 << 62
 
 
-def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
-    """True when the hot loop can feed ``trace`` inline.
+def _bus_wired(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
+    """True when ``trace`` is a plain bus shared by every component of ``sim``.
 
-    Requires a plain :class:`TraceBus` (no subclassed ``emit``), stamped
-    from the simulator's own counters, whose sinks all consume pre-encoded
-    canonical lines (``write_lines``) — every component must share the one
-    bus (the constructor wires it that way) so suppressing the component
-    emissions and emitting inline is a pure reordering of the same code.
+    The loop suppresses the components' own emissions and formats their
+    events inline, which is a pure reordering of the same code only when
+    one :class:`TraceBus` (no subclassed ``emit``), stamped from the
+    simulator's counters, is wired everywhere — as the constructor does.
     """
     if trace is None:
         return True
@@ -106,7 +119,6 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
         and sim.rim.trace is trace
         and sim.susqueue.trace is trace
         and sim.monitor.trace is trace
-        and all(callable(getattr(s, "write_lines", None)) for s in trace._sinks)
     )
 
 
@@ -114,11 +126,11 @@ def hot_ineligibility(sim: "DReAMSim") -> Optional[str]:
     """Why the flat-table hot loop cannot run ``sim``, or None when it can.
 
     Returns the first failing clause.  Every clause guards a semantic the
-    hot loop does not reimplement (a non-array manager, JSONL/memory trace
-    sinks, GPP offload, policy ablations, debug invariant checking, custom
-    network models, a run already under way).  Fault campaigns are inside
-    the envelope.  The check is cheap and runs once per
-    :meth:`DReAMSim.run`.
+    hot loop does not reimplement (a non-array manager, GPP offload,
+    policy ablations, debug invariant checking, custom network models).
+    Fault campaigns, every trace sink, and runs already under way (a
+    service window, a restored snapshot) are inside the envelope.  The
+    check is cheap and runs once per run, when it starts or is restored.
     """
     rim = sim.rim
     susq = sim.susqueue
@@ -128,8 +140,8 @@ def hot_ineligibility(sim: "DReAMSim") -> Optional[str]:
     key_fn = susq.key_fn
     if type(rim) is not ArrayRIM or type(susq) is not ArraySuspensionQueue:
         return "backend is not array"
-    if not _digest_capable(sim.trace, sim):
-        return "trace bus has a sink without write_lines"
+    if not _bus_wired(sim.trace, sim):
+        return "trace bus is not a plain TraceBus wired to this simulator"
     if sim.gpp is not None or sched.gpp_pool is not None:
         return "GPP pool attached"
     if sim._debug_every is not None:
@@ -143,8 +155,6 @@ def hot_ineligibility(sim: "DReAMSim") -> Optional[str]:
         return "placement policy is not the paper's"
     if type(sched.network) is not FixedDelayModel:
         return "network model is not FixedDelayModel"
-    if sim.env._now != 0 or sim.tasks or susq._order:
-        return "run already under way"
     if not (
         getattr(key_fn, "__func__", None) is DreamScheduler.matched_config_no
         and getattr(key_fn, "__self__", None) is sched
@@ -153,13 +163,87 @@ def hot_ineligibility(sim: "DReAMSim") -> Optional[str]:
     return None
 
 
-def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
-    """Run ``sim`` to completion through the flat-table hot loop.
+def run_hot(sim: "DReAMSim", until: Optional[int] = None) -> None:
+    """Run ``sim`` through the flat-table hot loop up to time ``until``.
 
-    Mutates ``sim`` exactly as ``sim.env.run()`` would have inside the
-    :func:`hot_ineligibility` envelope; the caller (:meth:`DReAMSim.run`)
-    finishes up (final-time housekeeping, report) identically for both
-    paths.
+    Fires every event due at or before ``until`` (all of them when it is
+    None), leaves the clock at the last fired event and parks the loop on
+    the simulator, so the next call continues from there.  Mutates ``sim``
+    exactly as ``sim.env.run(until, idle_advance=False)`` would have
+    inside the :func:`hot_ineligibility` envelope; the caller
+    (:meth:`DReAMSim.advance`, :meth:`DReAMSim.run`) pauses the cyclic
+    collector, detaches ``rim.trace`` and seals the run.
+    """
+    loop = sim._hot
+    if loop is None:
+        loop = sim._hot = _hot_loop(sim)
+        next(loop)
+    loop.send(until)
+
+
+def _stale() -> None:
+    """A dead completion's callback: it fires only to advance the clock."""
+
+
+def spill(sim: "DReAMSim") -> None:
+    """Turn a parked hot loop's heap back into kernel events.
+
+    The inverse of the loop's ``adopt`` step: an arrival record becomes the
+    ``("arrival",)`` event of ``sim._pending_arrival``; a live completion
+    becomes a :class:`Placement` in ``sim._placements`` plus its
+    registered ``("complete", task_no)`` event, a dead one an unregistered
+    event that only fires (export calls it a ``noop``); every record the
+    loop adopted goes back as the kernel event it came from.  All keep
+    their sequence numbers.  Called when generic code needs the queue — a
+    checkpoint, the generic loop — and a no-op when nothing is parked.
+    """
+    heap = sim._hot_heap
+    if not heap:
+        return
+    env = sim.env
+    placements = sim._placements
+    completion_events = sim._completion_events
+    for rec in heap:
+        when, seq, payload, kind, entry, extra = rec
+        if entry is not None:
+            task = payload
+            tno = task.task_no
+            if placements.get(tno) is rec:
+                pkind, evicted, closest = extra
+                p = Placement(
+                    kind=PlacementKind(pkind),
+                    node=kind,
+                    entry=entry,
+                    config=task.assigned_config,
+                    config_time=task.config_time_paid,
+                    comm_time=task.comm_time,
+                    evicted_area=evicted,
+                    used_closest_match=closest,
+                )
+                placements[tno] = p
+                completion_events[tno] = env.requeue(
+                    when, seq, partial(sim._on_complete, task, p), ("complete", tno)
+                )
+            else:
+                env.requeue(when, seq, _stale, ("complete", tno))
+        elif kind is None:
+            env.requeue(
+                when, seq, partial(sim._on_arrival, sim._pending_arrival), ("arrival",)
+            )
+        else:
+            heappush(env._queue, (when, PRIORITY_NORMAL, seq, extra))
+    heap.clear()
+
+
+def _hot_loop(sim: "DReAMSim") -> Generator[None, Optional[int], None]:  # noqa: C901 - deliberately monolithic
+    """The loop behind :func:`run_hot`: a generator that parks between windows.
+
+    It is primed once, then sent one horizon per window (None: run until
+    the heap drains).  At every window start it re-reads the state generic
+    code may have changed while it was parked (ingested arrivals, a
+    closed ingest seam, a spill) and adopts whatever sits on the kernel
+    queue; at every window end it writes its hoisted locals back and
+    flushes its trace buffer.
 
     The bodies of ``ArrayRIM.assign_task`` / ``complete_task`` (including
     ``Node.add_task`` / ``remove_task`` and ``_apply_load_delta``) are
@@ -171,18 +255,21 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     completion always lands on a node in service.  The inlined code
     performs the identical table updates in the identical order.
 
-    Event records are ``(time, seq, payload, kind, entry)`` tuples:
+    Event records are ``(time, seq, payload, kind, entry, extra)`` tuples:
 
-    * arrival — ``(t, seq, task, None, None)``;
-    * completion — ``(t, seq, task, node, busy entry)``, live only while
+    * arrival — ``(t, seq, task, None, None, None)``;
+    * completion — ``(t, seq, task, node, busy entry, (placement kind,
+      evicted area, closest match))``, live only while
       ``sim._placements[task_no]`` is this very record (an SEU or crash
       interrupt pops it, so the old completion fires as a no-op that still
       advances the clock, as ``DReAMSim._on_complete`` does);
-    * backoff retry — ``(t, seq, task, _RETRY, None)``;
-    * scrub finish — ``(t, seq, scrub_no, _SCRUB, None)``;
-    * any other kernel event — ``(t, seq, event, _SLOW, None)``;
-    * a generic completion already stale on adoption —
-      ``(t, seq, None, _NOOP, None)``.
+    * backoff retry — ``(t, seq, task, _RETRY, None, event)``;
+    * scrub finish — ``(t, seq, scrub_no, _SCRUB, None, event)``;
+    * any other kernel event — ``(t, seq, event, _SLOW, None, event)``;
+    * a completion already stale on adoption, or a restored ``noop`` —
+      ``(t, seq, None, _NOOP, None, event)``.
+
+    ``event`` is the adopted kernel event, which :func:`spill` puts back.
     """
     # Hot-path aliases: module globals and builtins rebound as locals so
     # the loop body uses LOAD_FAST instead of LOAD_GLOBAL everywhere.
@@ -338,7 +425,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     waste_samples = sim._system_waste_samples
     placed = sim._placed_count
 
-    # -- inline trace emission (digest-capable bus only) -----------------
+    # -- inline trace emission -------------------------------------------
     # The generic path builds a TraceEvent + field dict per event and calls
     # ``canonical()`` (a json.dumps) per sink write; at 200n/20k that is the
     # whole 490 % digest overhead.  Here each event is formatted as its
@@ -346,15 +433,15 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # sorted order json.dumps(sort_keys=True) would produce, with the same
     # ``ss``/``hk`` stamps the bus would read from the counters at that
     # point — and batched into ``tr_buf``; the batch is joined, encoded
-    # once, and handed to every sink's ``write_lines``.  The caller
-    # (DReAMSim.run) detaches ``rim.trace`` for the duration so
-    # configure_node/evict_entries do not also emit through the bus.
+    # once, and handed to the bus's ``write_lines``.  The caller detaches
+    # ``rim.trace`` for the duration so configure_node/evict_entries do not
+    # also emit through the bus.
     tb = sim.trace
     trace_on = tb is not None
     tr_buf: list = []
     tr_app = tr_buf.append
     tr_seq = tb._seq if tb is not None else 0
-    tr_sinks = tb._sinks if tb is not None else []
+    tr_write = tb.write_lines if tb is not None else None
 
     created_s = TaskStatus.CREATED
     running_s = TaskStatus.RUNNING
@@ -367,11 +454,15 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # allocating ``seq`` at the same call sites as the generic path's
     # ``Environment.schedule`` — and sharing the kernel's counter with the
     # slow-path callbacks — reproduces its tie-breaks exactly.
-    heap: list = []
+    heap = sim._hot_heap
     seq = env._seq
     events = 0
-    now = env._now
-    arrivals_done = sim._arrivals_done
+    # The arrival feed (DReAMSim._feed_next_arrival): the constructor
+    # stream, then the ingest buffer.  ``arrival`` is the one drawn but not
+    # yet fired (its record is in the heap); it, the clock and the rest of
+    # the feed state are re-read at every window start.
+    arr_iter = sim._arrivals
+    ingest_buf = sim._ingest_buffer
     # The arrived task numbered ``no``, for adopted retry and generic
     # completion events: by position when task numbers run densely in
     # arrival order (every generated workload), else through an index over
@@ -395,9 +486,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         nonlocal events
         if trace_on:
             if tr_buf:
-                data = "".join(tr_buf).encode("utf-8")
-                for _sink in tr_sinks:
-                    _sink.write_lines(data, len(tr_buf))
+                tr_write("".join(tr_buf).encode("utf-8"), len(tr_buf))
                 tr_buf.clear()
             tb.resume_at(tr_seq)
         counters.scheduling_steps = sched_steps
@@ -412,6 +501,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         stats.total_config_time_paid = st_cfg_paid
         stats.total_evicted_area = st_evicted
         sim._arrivals_done = arrivals_done
+        sim._pending_arrival = arrival
+        sim._arrivals_consumed = consumed
         sim._last_hk_time = last_hk
         sim.system_waste_total = sys_waste
         sim._system_waste_samples = waste_samples
@@ -474,11 +565,14 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     def adopt() -> None:
         """Move the events generic code scheduled on the kernel into the heap.
 
-        They keep their kernel sequence numbers.  A generic completion is
+        They keep their kernel sequence numbers.  The ``("arrival",)``
+        event (primed by ``start()``, fed by ``ingest()``, or restored)
+        becomes the loop's own arrival record; a generic completion is
         re-pointed at its fast record (or becomes a no-op when
         ``DReAMSim._export_tag`` already calls it stale); retries and scrub
         finishes get fast records; the rest fire through :func:`slow`.
         """
+        nonlocal arrival
         for when, _prio, eseq, ev in env_q:
             tag = ev.tag
             kind = tag[0] if tag else None
@@ -486,17 +580,25 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 tno = tag[1]
                 if export_tag(tag, ev)[0] == "complete":
                     p = placements[tno]
-                    rec = (when, eseq, task_of(tno), p.node, p.entry)
+                    rec = (
+                        when, eseq, task_of(tno), p.node, p.entry,
+                        (p.kind.value, p.evicted_area, p.used_closest_match),
+                    )
                     placements[tno] = rec
                     del completion_events[tno]
                 else:
-                    rec = (when, eseq, None, _NOOP, None)
+                    rec = (when, eseq, None, _NOOP, None, ev)
+            elif kind == "arrival":
+                arrival = sim._pending_arrival
+                rec = (when, eseq, arrival.task, None, None, None)
+            elif kind == "noop":
+                rec = (when, eseq, None, _NOOP, None, ev)
             elif kind == "retry":
-                rec = (when, eseq, task_of(tag[1]), _RETRY, None)
+                rec = (when, eseq, task_of(tag[1]), _RETRY, None, ev)
             elif kind == "scrub_finish" and end_scrub is not None:
-                rec = (when, eseq, tag[1], _SCRUB, None)
+                rec = (when, eseq, tag[1], _SCRUB, None, ev)
             else:
-                rec = (when, eseq, ev, _SLOW, None)
+                rec = (when, eseq, ev, _SLOW, None, ev)
             hpush(heap, rec)
         env_q.clear()
 
@@ -842,251 +944,264 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 tr_seq += 1
         placed += 1
         seq += 1
-        rec = (now + config_time + comm + task.required_time, seq, task, node, entry)
+        rec = (
+            now + config_time + comm + task.required_time, seq, task, node, entry,
+            (kind, evicted, used_closest),
+        )
         placements[task.task_no] = rec
         hpush(heap, rec)
         return 0
 
     # -- main event loop ---------------------------------------------------
-    # Events an armed injector scheduled before the run (arm() runs first,
-    # so they hold the lower sequence numbers, as in the generic loop).
-    if env_q:
-        adopt()
-    arr_iter = sim._arrivals
-    arrival = next(arr_iter, None)
-    if arrival is None:
-        arrivals_done = True
-    else:
-        seq += 1
-        at = arrival.at
-        hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
-
-    while heap:
-        rec = hpop(heap)
-        now, _s, task, cnode, centry = rec
-        events += 1
-        if centry is None:
-            if cnode is None:
-                # -- arrival (DReAMSim._on_arrival) -----------------------
+    ingest_pop = ingest_buf.popleft
+    stop = yield
+    while True:
+        # Window start.  Generic code may have run since the last window —
+        # ingest() fed an arrival, close_ingest() sealed the feed, a
+        # checkpoint spilled the heap — so re-read what it can touch, then
+        # adopt whatever it queued on the kernel (on the first window: the
+        # primed arrival and an armed injector's events).
+        sync_in()
+        now = env._now
+        arrival = sim._pending_arrival
+        arrivals_done = sim._arrivals_done
+        consumed = sim._arrivals_consumed
+        if env_q:
+            adopt()
+        if stop is None:
+            stop = _FOREVER
+        while heap:
+            rec = hpop(heap)
+            if rec[0] > stop:
+                hpush(heap, rec)
+                break
+            now, _s, task, cnode, centry, _x = rec
+            events += 1
+            if centry is None:
+                if cnode is None:
+                    # -- arrival (DReAMSim._on_arrival) -----------------------
+                    if now > last_hk:
+                        if per_tick:
+                            hk_steps += (now - last_hk) * per_tick
+                        last_hk = now
+                    task.create_time = now
+                    task._history.append((now, created_s))
+                    tasks_append(task)
+                    if trace_on:
+                        tr_app(f'{{"ev":"TaskArrived","hk":{hk_steps},"pref":{task.pref_config.config_no},"req":{task.required_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                        tr_seq += 1
+                        if len(tr_buf) >= 1024:
+                            tr_write("".join(tr_buf).encode("utf-8"), len(tr_buf))
+                            tr_buf.clear()
+                    submit(task, now)
+                    # DReAMSim._feed_next_arrival, inlined.
+                    arrival = next(arr_iter, None)
+                    if arrival is not None:
+                        consumed += 1
+                    elif ingest_buf:
+                        arrival = ingest_pop()
+                    if arrival is not None:
+                        seq += 1
+                        at = arrival.at
+                        hpush(heap, (at if at > now else now, seq, arrival.task, None, None, None))
+                    elif not sim._ingest_open:
+                        arrivals_done = True
+                    continue
+                if cnode is _RETRY:
+                    # -- backoff elapsed (FailureInjector._retry) -------------
+                    sim._pending_retries -= 1
+                    submit(task, now)
+                    continue
+                if cnode is _SCRUB:
+                    # -- scrub done (FailureInjector._finish_scrub): free the
+                    #    region on the slow path, redispatch from it below ---
+                    cnode = slow(end_scrub, task)
+                    if cnode is None:
+                        continue  # stale: the node crashed mid-scrub
+                    pos = pos_of[cnode]
+                else:
+                    if cnode is _SLOW:
+                        slow(fire, task)
+                    continue  # a _NOOP: a generic completion already stale
+            else:
+                # -- completion (DReAMSim._on_complete) -----------------------
+                if placements.get(task.task_no) is not rec:
+                    continue  # stale: a fault interrupted the task
+                del placements[task.task_no]
                 if now > last_hk:
                     if per_tick:
                         hk_steps += (now - last_hk) * per_tick
                     last_hk = now
-                task.create_time = now
-                task._history.append((now, created_s))
-                tasks_append(task)
+                task.status = completed_s
+                task._history.append((now, completed_s))
+                task.completion_time = now
                 if trace_on:
-                    tr_app(f'{{"ev":"TaskArrived","hk":{hk_steps},"pref":{task.pref_config.config_no},"req":{task.required_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                    tr_app(f'{{"closest":{"true" if task.used_closest_match else "false"},"ev":"Completed","hk":{hk_steps},"node":{cnode.node_no},"run":{task.running_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no},"wait":{task.waiting_time}}}\n')
                     tr_seq += 1
                     if len(tr_buf) >= 1024:
-                        data = "".join(tr_buf).encode("utf-8")
-                        for _sink in tr_sinks:
-                            _sink.write_lines(data, len(tr_buf))
+                        tr_write("".join(tr_buf).encode("utf-8"), len(tr_buf))
                         tr_buf.clear()
-                submit(task, now)
-                arrival = next(arr_iter, None)
-                if arrival is None:
-                    arrivals_done = True
-                else:
-                    seq += 1
-                    at = arrival.at
-                    hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
-                continue
-            if cnode is _RETRY:
-                # -- backoff elapsed (FailureInjector._retry) -------------
-                sim._pending_retries -= 1
-                submit(task, now)
-                continue
-            if cnode is _SCRUB:
-                # -- scrub done (FailureInjector._finish_scrub): free the
-                #    region on the slow path, redispatch from it below ---
-                cnode = slow(end_scrub, task)
-                if cnode is None:
-                    continue  # stale: the node crashed mid-scrub
+                # ArrayRIM.complete_task (incl. Node.remove_task), inlined: the
+                # event carries the busy entry, so no per-node scan; liveness
+                # branch drops out as in assign.
+                centry.task = None
+                ecfg = centry.config
+                req = ecfg.req_area
+                cno = ecfg.config_no
+                cnode._busy_count -= 1
+                cnode._busy_area -= req
                 pos = pos_of[cnode]
-            else:
-                if cnode is _SLOW:
-                    slow(fire, task)
-                continue  # a _NOOP: a generic completion already stale
-        else:
-            # -- completion (DReAMSim._on_complete) -----------------------
-            if placements.get(task.task_no) is not rec:
-                continue  # stale: a fault interrupted the task
-            del placements[task.task_no]
-            if now > last_hk:
-                if per_tick:
-                    hk_steps += (now - last_hk) * per_tick
-                last_hk = now
-            task.status = completed_s
-            task._history.append((now, completed_s))
-            task.completion_time = now
-            if trace_on:
-                tr_app(f'{{"closest":{"true" if task.used_closest_match else "false"},"ev":"Completed","hk":{hk_steps},"node":{cnode.node_no},"run":{task.running_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no},"wait":{task.waiting_time}}}\n')
-                tr_seq += 1
-                if len(tr_buf) >= 1024:
-                    data = "".join(tr_buf).encode("utf-8")
-                    for _sink in tr_sinks:
-                        _sink.write_lines(data, len(tr_buf))
-                    tr_buf.clear()
-            # ArrayRIM.complete_task (incl. Node.remove_task), inlined: the
-            # event carries the busy entry, so no per-node scan; liveness
-            # branch drops out as in assign.
-            centry.task = None
-            ecfg = centry.config
-            req = ecfg.req_area
-            cno = ecfg.config_no
-            cnode._busy_count -= 1
-            cnode._busy_area -= req
-            pos = pos_of[cnode]
-            ba0 = t_busy_area[pos]
-            ba1 = ba0 - req
-            bc1 = t_busy_cnt[pos] - 1
-            t_busy_area[pos] = ba1
-            t_busy_cnt[pos] = bc1
-            running_count -= 1
-            total = t_total[pos]
-            if bc1 == 0:
-                sc_busy -= 1
-                sc_idle += 1
-            okey = (total - ba0) << pos_bits | pos
-            del sr[bl(sr, okey)]
-            ins(sr, (total - ba1) << pos_bits | pos)
-            if bc1 == 0:
-                tkey = total << pos_bits | pos
-                del sb[bl(sb, tkey)]
-                del busy_pos[bl(busy_pos, pos)]
-                ins(sa, tkey)
-                rim._idle_node_entries += t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
-            # _apply_load_delta, inlined.
-            old = (ba0 / total, pos)
-            del sl[bl(sl, old)]
-            ins(sl, (ba1 / total, pos))
-            w = load_w[pos]
-            d = (ba1 - ba0) * w
-            load_sum_i += d
-            load_sumsq_i += d * ((ba1 + ba0) * w)
-            del busy_m[cno][centry]
-            hk_steps += 1
-            idle_m[cno][centry] = None
-            # _idle_append, inlined (allocates a chain sequence number).
-            rim._chain_seq = cseq = rim._chain_seq + 1  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
-            akey = t_avail[pos] << seq_bits | cseq
-            centry._akey = akey  # type: ignore[attr-defined]
-            entry_by_seq[cseq] = centry
-            ins(ie[cno], akey)
-            hk_steps += 1
+                ba0 = t_busy_area[pos]
+                ba1 = ba0 - req
+                bc1 = t_busy_cnt[pos] - 1
+                t_busy_area[pos] = ba1
+                t_busy_cnt[pos] = bc1
+                running_count -= 1
+                total = t_total[pos]
+                if bc1 == 0:
+                    sc_busy -= 1
+                    sc_idle += 1
+                okey = (total - ba0) << pos_bits | pos
+                del sr[bl(sr, okey)]
+                ins(sr, (total - ba1) << pos_bits | pos)
+                if bc1 == 0:
+                    tkey = total << pos_bits | pos
+                    del sb[bl(sb, tkey)]
+                    del busy_pos[bl(busy_pos, pos)]
+                    ins(sa, tkey)
+                    rim._idle_node_entries += t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
+                # _apply_load_delta, inlined.
+                old = (ba0 / total, pos)
+                del sl[bl(sl, old)]
+                ins(sl, (ba1 / total, pos))
+                w = load_w[pos]
+                d = (ba1 - ba0) * w
+                load_sum_i += d
+                load_sumsq_i += d * ((ba1 + ba0) * w)
+                del busy_m[cno][centry]
+                hk_steps += 1
+                idle_m[cno][centry] = None
+                # _idle_append, inlined (allocates a chain sequence number).
+                rim._chain_seq = cseq = rim._chain_seq + 1  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
+                akey = t_avail[pos] << seq_bits | cseq
+                centry._akey = akey  # type: ignore[attr-defined]
+                entry_by_seq[cseq] = centry
+                ins(ie[cno], akey)
+                hk_steps += 1
 
-            # Monitor.sample, inlined (same form as the submit site).
-            if mon_last is None or now - mon_last >= ml:
-                qlen = len(sq_order)
-                ms = ms_new(MonitorSample)
-                dd = ms.__dict__
+                # Monitor.sample, inlined (same form as the submit site).
+                if mon_last is None or now - mon_last >= ml:
+                    qlen = len(sq_order)
+                    ms = ms_new(MonitorSample)
+                    dd = ms.__dict__
+                    dd["time"] = now
+                    dd["busy_nodes"] = sc_busy
+                    dd["idle_nodes"] = sc_idle
+                    dd["blank_nodes"] = sc_blank
+                    dd["running_tasks"] = running_count
+                    dd["suspended_tasks"] = qlen
+                    dd["configured_area"] = conf_total
+                    dd["wasted_area"] = wasted_total
+                    mon_samples.append(ms)
+                    mb_t.append(now)
+                    mb_v.append(sc_busy)
+                    mq_t.append(now)
+                    mq_v.append(qlen)
+                    mw_t.append(now)
+                    mw_v.append(wasted_total)
+                    mr_t.append(now)
+                    mr_v.append(running_count)
+                    mon_last = now
+                    if trace_on:
+                        tr_app(f'{{"busy":{sc_busy},"ev":"MonitorSampled","hk":{hk_steps},"queued":{qlen},"running":{running_count},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"waste":{wasted_total}}}\n')
+                        tr_seq += 1
+                # LoadBalancer.observe, inlined (the array backend's O(1) aggregates).
+                s1 = load_sum_i / load_den
+                s2 = load_sumsq_i / load_den_sq
+                max_load = sl[-1][0] if sl else 0.0
+                mean = s1 / n_nodes if n_nodes else 0.0
+                if n_nodes and mean > 0:
+                    var = s2 / n_nodes - mean * mean
+                    cv = sqrt(var) / mean if var > 0.0 else 0.0
+                    jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
+                else:
+                    cv, jain = 0.0, 1.0
+                snap = ls_new(LoadSnapshot)
+                dd = snap.__dict__
                 dd["time"] = now
-                dd["busy_nodes"] = sc_busy
-                dd["idle_nodes"] = sc_idle
-                dd["blank_nodes"] = sc_blank
-                dd["running_tasks"] = running_count
-                dd["suspended_tasks"] = qlen
-                dd["configured_area"] = conf_total
-                dd["wasted_area"] = wasted_total
-                mon_samples.append(ms)
-                mb_t.append(now)
-                mb_v.append(sc_busy)
-                mq_t.append(now)
-                mq_v.append(qlen)
-                mw_t.append(now)
-                mw_v.append(wasted_total)
-                mr_t.append(now)
-                mr_v.append(running_count)
-                mon_last = now
-                if trace_on:
-                    tr_app(f'{{"busy":{sc_busy},"ev":"MonitorSampled","hk":{hk_steps},"queued":{qlen},"running":{running_count},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"waste":{wasted_total}}}\n')
-                    tr_seq += 1
-            # LoadBalancer.observe, inlined (the array backend's O(1) aggregates).
-            s1 = load_sum_i / load_den
-            s2 = load_sumsq_i / load_den_sq
-            max_load = sl[-1][0] if sl else 0.0
-            mean = s1 / n_nodes if n_nodes else 0.0
-            if n_nodes and mean > 0:
-                var = s2 / n_nodes - mean * mean
-                cv = sqrt(var) / mean if var > 0.0 else 0.0
-                jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
-            else:
-                cv, jain = 0.0, 1.0
-            snap = ls_new(LoadSnapshot)
-            dd = snap.__dict__
-            dd["time"] = now
-            dd["mean_load"] = mean
-            dd["cv"] = cv
-            dd["jain"] = jain
-            dd["max_load"] = max_load
-            snapshots.append(snap)
-            cv_t.append(now)
-            cv_v.append(cv)
-            jn_t.append(now)
-            jn_v.append(jain)
-        # -- redispatch from the freed node (DReAMSim._redispatch_from) --
-        while sq_order:
-            reclaimable = t_total[pos] - t_busy_area[pos]
-            if reclaimable <= 0:
-                break
-            sched_steps += len(sq_order)
-            best = None
-            for e in cnode.entries:
-                if e.task is None:
-                    bucket = by_key.get(e.config.config_no)
-                    if bucket is not None:
+                dd["mean_load"] = mean
+                dd["cv"] = cv
+                dd["jain"] = jain
+                dd["max_load"] = max_load
+                snapshots.append(snap)
+                cv_t.append(now)
+                cv_v.append(cv)
+                jn_t.append(now)
+                jn_v.append(jain)
+            # -- redispatch from the freed node (DReAMSim._redispatch_from) --
+            while sq_order:
+                reclaimable = t_total[pos] - t_busy_area[pos]
+                if reclaimable <= 0:
+                    break
+                sched_steps += len(sq_order)
+                best = None
+                for e in cnode.entries:
+                    if e.task is None:
+                        bucket = by_key.get(e.config.config_no)
+                        if bucket is not None:
+                            head = bucket[0]
+                            if best is None or head < best:
+                                best = head
+                if best is not None:
+                    slot = best[2]
+                else:
+                    if reclaimable < min_cfg_area:
+                        break
+                    # first_matching_key(fits_key), inlined.
+                    for key, bucket in by_key.items():
+                        ra = req_of.get(key)
+                        if ra is None or ra > reclaimable:
+                            continue
                         head = bucket[0]
                         if best is None or head < best:
                             best = head
-            if best is not None:
-                slot = best[2]
-            else:
-                if reclaimable < min_cfg_area:
-                    break
-                # first_matching_key(fits_key), inlined.
-                for key, bucket in by_key.items():
-                    ra = req_of.get(key)
-                    if ra is None or ra > reclaimable:
-                        continue
-                    head = bucket[0]
-                    if best is None or head < best:
-                        best = head
-                if best is None:
-                    hk_steps += len(sq_order)
-                    break
-                hk_steps += bl(sq_order, best) + 1
-                slot = best[2]
-            # ArraySuspensionQueue.remove, inlined.
-            rtask = sq_task[slot]
-            triple = (sq_rank_c[slot], sq_seq_c[slot], slot)
-            del sq_order[bl(sq_order, triple)]
-            key = sq_key_c[slot]
-            bucket = by_key[key]
-            del bucket[bl(bucket, triple)]
-            if not bucket:
-                del by_key[key]
-            sq_task[slot] = None
-            sq_key_c[slot] = None
-            sq_free.append(slot)
-            hk_steps += 1
-            rtask.sus_retry += 1
-            if trace_on:
-                tr_app(f'{{"ev":"Resumed","hk":{hk_steps},"retry":{rtask.sus_retry},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{rtask.task_no}}}\n')
-                tr_seq += 1
-            if submit(rtask, now) != 0:
-                break
-        if max_retries is not None:
-            for ex in susq_expired():
-                ex.status = discarded_s
-                ex._history.append((now, discarded_s))
-                st_discarded += 1
+                    if best is None:
+                        hk_steps += len(sq_order)
+                        break
+                    hk_steps += bl(sq_order, best) + 1
+                    slot = best[2]
+                # ArraySuspensionQueue.remove, inlined.
+                rtask = sq_task[slot]
+                triple = (sq_rank_c[slot], sq_seq_c[slot], slot)
+                del sq_order[bl(sq_order, triple)]
+                key = sq_key_c[slot]
+                bucket = by_key[key]
+                del bucket[bl(bucket, triple)]
+                if not bucket:
+                    del by_key[key]
+                sq_task[slot] = None
+                sq_key_c[slot] = None
+                sq_free.append(slot)
+                hk_steps += 1
+                rtask.sus_retry += 1
                 if trace_on:
-                    tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"retries","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{ex.task_no}}}\n')
+                    tr_app(f'{{"ev":"Resumed","hk":{hk_steps},"retry":{rtask.sus_retry},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{rtask.task_no}}}\n')
                     tr_seq += 1
+                if submit(rtask, now) != 0:
+                    break
+            if max_retries is not None:
+                for ex in susq_expired():
+                    ex.status = discarded_s
+                    ex._history.append((now, discarded_s))
+                    st_discarded += 1
+                    if trace_on:
+                        tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"retries","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{ex.task_no}}}\n')
+                        tr_seq += 1
 
-    # -- write back state the generic loop keeps on the objects ------------
-    sync_out()
+        # Window end: write back the state the generic loop keeps on the
+        # objects, flush the trace, park until the next window.
+        sync_out()
+        stop = yield
 
 
-__all__ = ["hot_ineligibility", "run_hot"]
+__all__ = ["hot_ineligibility", "run_hot", "spill"]

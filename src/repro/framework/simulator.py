@@ -49,7 +49,7 @@ from repro.trace.events import (
 )
 from repro.workload.generator import TaskArrival
 
-from repro.framework.hotloop import hot_ineligibility, run_hot
+from repro.framework.hotloop import hot_ineligibility, run_hot, spill
 from repro.framework.loadbalance import LoadBalancer
 from repro.framework.monitoring import Monitor
 
@@ -203,11 +203,16 @@ class DReAMSim:
         # The armed FailureInjector, if any (set by arm() and by an armed
         # injector's restore).  The hot loop runs its scrub finishes.
         self.injector: Optional["FailureInjector"] = None
-        # Which driver ran the events — "hot" (repro.framework.hotloop) or
+        # Which driver runs the events — "hot" (repro.framework.hotloop) or
         # "generic" (the kernel's event loop) — and, for "generic", the
-        # first reason the hot loop declined.  None until the run starts.
+        # first reason the hot loop declined.  Chosen when the run starts
+        # or is restored; None before.
         self.driver: Optional[str] = None
         self.driver_reason: Optional[str] = None
+        # The hot loop parked between windows (a suspended generator) and
+        # its event heap; see repro.framework.hotloop.run_hot and spill.
+        self._hot: Optional[Any] = None
+        self._hot_heap: list = []
         # Per-tick housekeeping cost: the reference simulator advances time
         # tick-by-tick, maintaining node/config state each tick; the default
         # bills one step per node per elapsed tick (the monitoring walk).
@@ -229,69 +234,35 @@ class DReAMSim:
         return self._done
 
     def run(self, until: Optional[int] = None) -> SimulationResult:
-        """Run to completion (or to time ``until``) and build the report."""
+        """Run to completion (or to time ``until``) and build the report.
+
+        Inside the :func:`~repro.framework.hotloop.hot_ineligibility`
+        envelope the flat-table hot loop replays the exact event/charge/
+        sampling semantics of the generic path an order of magnitude
+        faster, fault campaigns and every trace sink included.  A bounded
+        ``until`` runs the generic loop, which idles the clock forward to
+        the horizon.
+        """
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
-        if self._started:
-            reason: Optional[str] = "run already started"
-        elif until is not None:
-            reason = "bounded horizon (until)"
-        else:
-            reason = hot_ineligibility(self)
-        if reason is None:
-            # The flat-table hot loop replays the exact event/charge/
-            # sampling semantics of the generic path an order of magnitude
-            # faster (see repro.framework.hotloop), fault campaigns
-            # included.  A digest-capable bus (every sink accepts
-            # ``write_lines``) is inside the envelope: RunStarted is
-            # emitted here exactly as start() would, the loop formats every
-            # in-run event's canonical line inline, and finish() emits
-            # RunFinished — byte-identical to the generic path's stream.
-            # ``rim.trace`` is detached for the duration so configure/evict
-            # do not double-emit through the bus (the loop re-attaches it
-            # around its slow-path exits).  run_hot pulls arrivals itself,
-            # so the feed must NOT be primed (that is why the hot branch
-            # bypasses start()).  The cyclic collector is paused for the
-            # loop: the hot path allocates heavily but creates no cycles,
-            # and gen-0 scans of the growing task/sample lists otherwise
-            # cost >10% of the run.  Liveness is unaffected, so results
-            # are identical.
-            if self.trace is not None:
-                self.trace.emit(
-                    RUN_STARTED,
-                    nodes=len(self.rim.nodes),
-                    configs=len(self.rim.configs),
-                    partial=self.partial,
-                    sample_system=self._sample_system,
-                )
-            self._started = True
-            self.driver = "hot"
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            rim_trace = self.rim.trace
-            self.rim.trace = None
-            try:
-                run_hot(self)
-            finally:
-                self.rim.trace = rim_trace
-                if gc_was_enabled:
-                    gc.enable()
-            return self.finish()
-        if self.driver is None:
-            self.driver, self.driver_reason = "generic", reason
         if not self._started:
             self.start()
-        self.env.run(until=until)
+        if until is None and self.driver == "hot":
+            self._run_hot(None)
+        else:
+            if self.driver == "hot":
+                self.driver, self.driver_reason = "generic", "bounded horizon (until)"
+                spill(self)
+            self.env.run(until=until)
         return self.finish()
 
     def start(self) -> None:
         """Begin a run without draining it (service mode / snapshot harness).
 
-        Emits ``RunStarted`` and primes the lazy arrival feed; the caller
-        then drives the kernel itself (``env.run(until=...)`` windows, or a
-        restore) and seals the run with :meth:`finish` or
-        :meth:`run_to_end`.
+        Emits ``RunStarted``, picks the driver (:attr:`driver`) and primes
+        the lazy arrival feed; the caller then drives the run in windows
+        (:meth:`advance`, or the kernel itself) and seals it with
+        :meth:`finish` or :meth:`run_to_end`.
         """
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
@@ -306,16 +277,68 @@ class DReAMSim:
                 sample_system=self._sample_system,
             )
         self._started = True
-        if self.driver is None:
-            self.driver, self.driver_reason = "generic", "windowed run (start)"
+        self._choose_driver()
         self._feed_next_arrival()
+
+    def _choose_driver(self) -> None:
+        reason = hot_ineligibility(self)
+        self.driver = "hot" if reason is None else "generic"
+        self.driver_reason = reason
+
+    def advance(self, until: int) -> None:
+        """Fire every event due by ``until`` on the chosen driver.
+
+        The clock stays at the last fired event instead of idling forward
+        to ``until``, so a run that ends mid-window produces the same event
+        stream, byte for byte, as one driven straight through.
+        """
+        if not self._started or self._done:
+            raise RuntimeError("advance requires a started, unfinished run")
+        if until < self.env.now:
+            raise ValueError(f"until={until} is in the past (now={self.env.now})")
+        if self.driver == "hot":
+            self._run_hot(until)
+        else:
+            self.env.run(until=until, idle_advance=False)
 
     def run_to_end(self) -> SimulationResult:
         """Drain every pending event, then seal a started run."""
         if not self._started or self._done:
             raise RuntimeError("run_to_end requires a started, unfinished run")
-        self.env.run()
+        if self.driver == "hot":
+            self._run_hot(None)
+        else:
+            self.env.run()
         return self.finish()
+
+    def _run_hot(self, until: Optional[int]) -> None:
+        """One window of the hot loop.
+
+        ``rim.trace`` is detached for the window so configure/evict do not
+        double-emit through the bus (the loop formats their events inline
+        and re-attaches it around its slow-path exits).  The cyclic
+        collector is paused: the hot path allocates heavily but creates no
+        cycles, and gen-0 scans of the growing task/sample lists otherwise
+        cost >10% of the run.  Liveness is unaffected, so results are
+        identical.  ``run_hot`` is called through this module's global
+        name, so a wrapper installed there sees every window.
+        """
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        rim_trace = self.rim.trace
+        self.rim.trace = None
+        try:
+            run_hot(self, until)
+        finally:
+            self.rim.trace = rim_trace
+            if gc_was_enabled:
+                gc.enable()
+
+    @property
+    def pending_count(self) -> int:
+        """Events still to fire: the kernel queue plus the parked hot heap."""
+        return self.env.pending_count + len(self._hot_heap)
 
     def finish(self) -> SimulationResult:
         """Seal a started run: final housekeeping, ``RunFinished``, report."""
@@ -323,6 +346,9 @@ class DReAMSim:
             raise RuntimeError("finish requires a started run")
         if self._done:
             raise RuntimeError("simulation already finished")
+        if self._hot is not None:
+            self._hot.close()
+            self._hot = None
         final = self._final_time()
         self._final_value = final
         self._charge_tick_housekeeping(final)
@@ -686,6 +712,7 @@ class DReAMSim:
             raise RuntimeError("cannot snapshot: run not started")
         if self._done:
             raise RuntimeError("cannot snapshot: run already finished")
+        spill(self)
         pending = self.env.export_pending(rewrite=self._export_tag)
         return {
             "backend": self.backend,
@@ -871,7 +898,7 @@ class DReAMSim:
         if self.trace is not None and state["trace_seq"] is not None:
             self.trace.resume_at(state["trace_seq"])
         self._started = True
-        self.driver, self.driver_reason = "generic", "restored from a snapshot"
+        self._choose_driver()
 
     def _event_resolver(
         self, task_of: Callable[[int], Task], injector: Optional[object]

@@ -46,6 +46,11 @@ _DERIVED_STATIC = (
     "derived once from the construction-time node/config lists, which "
     "restore never changes"
 )
+_HOT_PARKED = (
+    "the hot loop parked between windows: export_state spills its heap "
+    "into the kernel queue first, so every pending event travels in the "
+    "snapshot, and a restored run adopts them on its first window"
+)
 _OBSERVABILITY = (
     "per-run observability series, outside the restore contract — restarts "
     "empty on resume and never feeds trace digests or the Table I report"
@@ -91,6 +96,8 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
             "(snapshot_of requires a started, unfinished simulation)"
         ),
         "_config_by_no": _DERIVED_STATIC,
+        "_hot": _HOT_PARKED,
+        "_hot_heap": _HOT_PARKED,
     },
     "model/gpp.py::GppPool": {
         "count": _CONSTRUCTION,

@@ -4,13 +4,14 @@ The RMS (Fig. 1) is the root; every reconfigurable node hangs off it
 through one or more links.  The default is a star (one link per node, of a
 chosen class); arbitrary multi-hop layouts build on networkx with
 shortest-path (by latency) routing.
+
+networkx is imported only where a graph is built or searched, so importing
+this package (every run does, through the network models) does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
-
-import networkx as nx
+from typing import Any, Optional, Sequence, Union
 
 from repro.model.node import Node
 from repro.network.links import Link, LinkClass, transfer_time
@@ -18,11 +19,18 @@ from repro.network.links import Link, LinkClass, transfer_time
 RMS = "RMS"  # the root vertex name
 
 
+def _nx() -> Any:
+    """The networkx module, imported on first use."""
+    import networkx
+
+    return networkx
+
+
 class Topology:
     """A latency-weighted interconnect graph rooted at the RMS."""
 
     def __init__(self) -> None:
-        self._g = nx.Graph()
+        self._g = _nx().Graph()
         self._g.add_node(RMS)
         self._path_cache: dict[int, list[Link]] = {}
 
@@ -84,6 +92,7 @@ class Topology:
             return self._path_cache[node_no]
         if node_no not in self._g:
             raise KeyError(f"node {node_no} not in topology")
+        nx = _nx()
         try:
             vertices = nx.shortest_path(self._g, RMS, node_no, weight="weight")
         except nx.NetworkXNoPath:

@@ -18,6 +18,10 @@ and the final report can never drift apart structurally.
 layer; resuming re-folds the trace prefix into fresh sinks and verifies
 its digest against the checkpoint before restoring, so a mismatched
 prefix fails loudly instead of producing a silently different stream.
+
+On the array backend every window runs on the flat-table hot loop, which
+parks between windows (:meth:`DReAMSim.advance`); a checkpoint spills it
+back into kernel form and the next window adopts it again.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.metrics.resilience import ResilienceReport
 from repro.metrics.table1 import MetricsReport
 from repro.service.snapshot import Snapshot, SnapshotError, restore_snapshot, snapshot_of
 from repro.service.sources import ArrivalSource
-from repro.trace.bus import DigestSink, JsonlSink, MemorySink, TraceBus
+from repro.trace.bus import DigestSink, JsonlSink, MemorySink, TraceBus, encode_lines
 from repro.trace.events import TraceEvent
 from repro.trace.replay import TraceReplayer, synthetic_run_finished
 
@@ -105,20 +109,25 @@ class ServiceSimulator:
         backend: str = "array",
         source: Optional[ArrivalSource] = None,
         prefix_events: Iterable[TraceEvent] = (),
+        prefix_lines: Optional[bytes] = None,
         jsonl_path: Optional[str] = None,
     ) -> "ServiceSimulator":
         """Restore a checkpoint into a fresh service.
 
         ``spec`` must be the original campaign spec (identical workload
         and fault parameters); ``backend`` may differ from the snapshot's.
-        ``prefix_events`` is the trace up to the cut (e.g. the previous
-        service's ``memory`` contents, or ``read_jsonl`` of its file) —
-        it is re-folded into the new sinks so the resumed digest and
-        :meth:`report_view` continue seamlessly, and its digest is
-        verified against the checkpoint's.  A JSONL file already holding
-        the prefix is continued with ``append=True`` (the prefix is not
-        re-written to it).
+        The trace up to the cut comes either as ``prefix_lines`` — the
+        canonical lines of the previous service's JSONL file, as bytes —
+        or as ``prefix_events`` (e.g. the previous service's ``memory``),
+        which are encoded to those lines once.  The lines are folded as
+        they are into the new memory and digest sinks, so the resumed
+        digest and :meth:`report_view` continue seamlessly, and their
+        digest is verified against the checkpoint's.  A JSONL file already
+        holding the prefix is continued with ``append=True`` (the prefix is
+        not re-written to it).
         """
+        if prefix_lines is None:
+            prefix_lines = encode_lines(prefix_events)
         svc = cls(
             spec,
             backend=backend,
@@ -127,11 +136,10 @@ class ServiceSimulator:
             append=True,
             arm=False,
         )
-        folded = 0
-        for event in prefix_events:
-            svc.memory.write(event)
-            svc.digest.write(event)
-            folded += 1
+        folded = prefix_lines.count(b"\n")
+        if folded:
+            svc.memory.write_lines(prefix_lines, folded)
+            svc.digest.write_lines(prefix_lines, folded)
         if folded and snapshot.trace_digest is not None:
             got = svc.digest.hexdigest()
             if got != snapshot.trace_digest:
@@ -179,7 +187,7 @@ class ServiceSimulator:
             taken = self.sim.ingest(self.source.take_until(t))
             if self.source.exhausted:
                 self.sim.close_ingest()
-        self.sim.env.run(until=t, idle_advance=False)
+        self.sim.advance(t)
         return taken
 
     def drain(self) -> SimulationResult:

@@ -228,17 +228,34 @@ class Environment:
         self._now = now
         self._seq = seq
         self._event_count = event_count
-        out: list[Event] = []
-        for when, prio, ev_seq, tag in records:
-            fn = resolver(tuple(tag))
-            ev = Event(self)
-            ev._ok = True
-            ev.tag = tuple(tag)
-            ev._status = EventStatus.SCHEDULED
-            ev.callbacks.append(lambda _e, fn=fn: fn())
-            heapq.heappush(self._queue, (when, prio, ev_seq, ev))
-            out.append(ev)
-        return out
+        return [
+            self.requeue(when, ev_seq, resolver(tuple(tag)), tuple(tag), prio)
+            for when, prio, ev_seq, tag in records
+        ]
+
+    def requeue(
+        self,
+        when: float,
+        seq: int,
+        fn: Callable[[], None],
+        tag: tuple,
+        priority: int = PRIORITY_NORMAL,
+    ) -> Event:
+        """Queue a tagged call under a sequence number handed out earlier.
+
+        Unlike :meth:`call_at` this allocates no new sequence number: the
+        call keeps its original place in the ``(time, priority, seq)``
+        order.  Snapshot restore and the hot loop's spill back into kernel
+        form (:func:`repro.framework.hotloop.spill`) rebuild their events
+        this way.
+        """
+        ev = Event(self)
+        ev._ok = True
+        ev.tag = tag
+        ev._status = EventStatus.SCHEDULED
+        ev.callbacks.append(lambda _e: fn())
+        heapq.heappush(self._queue, (when, priority, seq, ev))
+        return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Environment now={self._now} queued={len(self._queue)}>"

@@ -24,11 +24,18 @@ then fans the event out to its sinks:
 
 Because all three consume the same canonical line, the digest of a live run,
 of its JSONL file, and of the events re-read from that file are identical.
+
+Besides ``write(event)`` every sink takes ``write_lines(data, count)``:
+``count`` canonical lines, already stamped and encoded, newline-terminated.
+That is how the flat-table hot loop and a resumed service's trace prefix
+reach the sinks, each line encoded once whatever sinks listen
+(:meth:`TraceBus.write_lines`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 from typing import (
     IO,
@@ -55,21 +62,68 @@ class TraceSink(Protocol):
         """Consume one stamped event."""
 
 
+def parse_lines(data: bytes) -> list[TraceEvent]:
+    """Parse newline-terminated canonical lines back into events."""
+    if not data:
+        return []
+    docs = json.loads(b"[" + data.rstrip(b"\n").replace(b"\n", b",") + b"]")
+    return [
+        TraceEvent(seq=doc.pop("seq"), time=doc.pop("t"), type=doc.pop("ev"), fields=doc)
+        for doc in docs
+    ]
+
+
+def encode_lines(events: Iterable[TraceEvent]) -> bytes:
+    """The canonical lines of ``events``, newline-terminated (inverse of :func:`parse_lines`)."""
+    return "".join([e.canonical() + "\n" for e in events]).encode("utf-8")
+
+
 class MemorySink:
-    """Collects events in order; iterable and indexable."""
+    """Collects events in order; iterable and indexable.
+
+    Lines handed to :meth:`write_lines` stay raw bytes until the events are
+    first read; each chunk is then parsed once and its bytes dropped.
+    ``len()`` never parses.
+    """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._events: list[TraceEvent] = []
+        # Unread items in arrival order: line chunks (bytes) and events
+        # written after a chunk (kept behind it so order is preserved).
+        self._pending: list[Union[bytes, TraceEvent]] = []
+        self._count = 0
 
     def write(self, event: TraceEvent) -> None:
         """Append the event to the in-memory list."""
-        self.events.append(event)
+        if self._pending:
+            self._pending.append(event)
+        else:
+            self._events.append(event)
+        self._count += 1
+
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Keep ``count`` pre-encoded canonical lines for parsing on first read."""
+        self._pending.append(data)
+        self._count += count
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event written so far, in order."""
+        if self._pending:
+            out = self._events
+            for item in self._pending:
+                if isinstance(item, bytes):
+                    out.extend(parse_lines(item))
+                else:
+                    out.append(item)
+            self._pending = []
+        return self._events
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
 
 
 class DigestSink:
@@ -121,25 +175,32 @@ class DigestSink:
 
 
 class JsonlSink:
-    """Writes one canonical JSON line per event to ``path`` (or a handle).
+    """Writes one canonical JSON line per event to ``path`` (or a text handle).
 
     ``append=True`` opens an existing file for appending — service-mode
     resume continues the JSONL trace where the interrupted run left off
-    instead of truncating the prefix it is provably equivalent to.
+    instead of truncating the prefix it is provably equivalent to.  A file
+    the sink opens itself is written in binary, so :meth:`write_lines`
+    passes its bytes straight through.
     """
 
     def __init__(self, path: Union[str, Path, IO[str]], append: bool = False) -> None:
+        self._fh: Any
         if hasattr(path, "write"):
-            self._fh: IO[str] = path  # type: ignore[assignment]
+            self._fh = path
             self._owns = False
         else:
-            self._fh = open(path, "a" if append else "w", encoding="utf-8")
+            self._fh = open(path, "ab" if append else "wb")
             self._owns = True
 
     def write(self, event: TraceEvent) -> None:
         """Write the event's canonical line to the file."""
-        self._fh.write(event.canonical())
-        self._fh.write("\n")
+        line = event.canonical() + "\n"
+        self._fh.write(line.encode("utf-8") if self._owns else line)
+
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Write ``count`` pre-encoded canonical lines verbatim."""
+        self._fh.write(data if self._owns else data.decode("utf-8"))
 
     def close(self) -> None:
         """Close the underlying file if this sink opened it."""
@@ -200,6 +261,24 @@ class TraceBus:
             raise ValueError(f"sequence number must be >= 0, got {seq}")
         self._seq = seq
 
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Fan out ``count`` canonical lines already stamped by the caller.
+
+        The caller (the hot loop) numbers the lines itself and then calls
+        :meth:`resume_at`.  A sink without ``write_lines`` gets the lines
+        parsed back into events, once for all such sinks.
+        """
+        events: Optional[list[TraceEvent]] = None
+        for sink in self._sinks:
+            write_lines = getattr(sink, "write_lines", None)
+            if write_lines is not None:
+                write_lines(data, count)
+                continue
+            if events is None:
+                events = parse_lines(data)
+            for event in events:
+                sink.write(event)
+
     def emit(self, ev_type: str, **fields: Any) -> None:
         """Stamp and fan out one event (callers guard the ``None`` check)."""
         clock = self.clock
@@ -232,6 +311,17 @@ def write_jsonl(path: Union[str, Path], events: Iterable[TraceEvent]) -> None:
             sink.write(event)
 
 
+def head_lines(data: bytes, count: int) -> bytes:
+    """The first ``count`` newline-terminated lines of ``data`` (fewer if it has fewer)."""
+    end = 0
+    for _ in range(count):
+        nl = data.find(b"\n", end)
+        if nl < 0:
+            break
+        end = nl + 1
+    return data[:end]
+
+
 def digest_of(events: Iterable[TraceEvent]) -> str:
     """Order-sensitive digest of an event sequence (same hash as DigestSink)."""
     sink = DigestSink()
@@ -249,4 +339,7 @@ __all__ = [
     "read_jsonl",
     "write_jsonl",
     "digest_of",
+    "encode_lines",
+    "head_lines",
+    "parse_lines",
 ]

@@ -31,7 +31,8 @@ Five layers of evidence:
    backoff resubmits, a crash tied with a completion on one tick).  The
    generic path is forced by an unreachable ``debug_invariants_every``
    threshold, which makes the hot loop decline without ever running the
-   checker; each run's ``driver`` record proves which loop ran.
+   checker; each run's ``driver`` record proves which loop ran.  ``run
+   --trace FILE`` writes byte-identical files on both tiers.
 4. **Property-based free-list interleavings** — random add/remove/expired
    scripts against :class:`~repro.resources.arraycore.ArraySuspensionQueue`,
    twinned with the reference queue and cross-checked by
@@ -654,6 +655,27 @@ def test_crash_tied_with_completion_hot_matches_generic(after):
     assert hot_inj.failure_count == ref_inj.failure_count == 1
     assert hot_digest == ref_digest
     check_invariants(hot.load.rim)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [[], ["--seu-rate", "300", "--retry-budget", "2", "--backoff-base", "16"]],
+    ids=["clean", "seu"],
+)
+def test_run_trace_file_bytes_identical_across_tiers(tmp_path, capsys, faults):
+    """``run --trace FILE`` writes the same bytes from the hot loop (array)
+    as from the generic loop (scan)."""
+    from repro.cli.main import main
+
+    files = {}
+    for backend, driver in (("array", "driver: hot"), ("scan", "driver: generic")):
+        path = tmp_path / f"{backend}.jsonl"
+        argv = ["run", "--nodes", "20", "--tasks", "300", "--configs", "10",
+                "--seed", "5", "--backend", backend, "--trace", str(path), "--profile"]
+        assert main(argv + faults) == 0
+        assert f"\n{driver}" in capsys.readouterr().out
+        files[backend] = path.read_bytes()
+    assert files["array"] and files["array"] == files["scan"]
 
 
 # -- 4. property-based free-list interleavings ---------------------------------

@@ -60,10 +60,12 @@ class TestRunCommand:
         assert "driver:" not in capsys.readouterr().out  # default stdout unchanged
         assert main(base + faults + ["--profile"]) == 0
         assert "\ndriver: hot\n" in capsys.readouterr().out
+        # A JSONL trace file stays on the hot loop; the scan backend does not.
         trace = tmp_path / "t.jsonl"
         assert main(base + ["--profile", "--trace", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "\ndriver: generic (trace bus has a sink without write_lines)\n" in out
+        assert "\ndriver: hot\n" in capsys.readouterr().out
+        assert main(base + ["--profile", "--backend", "scan"]) == 0
+        assert "\ndriver: generic (backend is not array)\n" in capsys.readouterr().out
 
     def test_full_mode(self, capsys):
         rc = main(["run", "--nodes", "8", "--tasks", "40", "--configs", "5", "--mode", "full"])
@@ -310,11 +312,32 @@ class TestServeCommand:
         assert rc == 2
         assert "--trace" in capsys.readouterr().err
 
+    def test_serve_names_the_driver_on_stderr(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(self.BASE + ["--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert "driver: hot\n" in captured.err
+        assert "driver:" not in captured.out  # stdout unchanged
+        assert main(self.BASE + ["--backend", "scan"]) == 0
+        assert "driver: generic (backend is not array)\n" in capsys.readouterr().err
+
     def test_report_every_prints_mid_run_views(self, tmp_path, capsys):
         rc = main(self.BASE + ["--report-every", "400"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "events," in out and "completed" in out
+
+
+class TestSeuWarning:
+    BASE = ["--nodes", "8", "--tasks", "40", "--configs", "5", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_seu_rate_without_retry_budget_warns_once(self, command, capsys):
+        assert main([command, *self.BASE, "--seu-rate", "5000"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: --seu-rate without --retry-budget") == 1
+        assert main([command, *self.BASE, "--seu-rate", "5000", "--retry-budget", "2"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestSeedSweep:

@@ -192,3 +192,32 @@ class TestFrameworkIntegration:
         paid_cache, model = run_cached(6)
         assert model.cache_hits > 0
         assert paid_cache < paid_nocache
+
+
+def test_cli_import_leaves_networkx_unloaded_until_a_topology_needs_it():
+    """networkx is an optional extra: importing the CLI must not load it,
+    and a Topology still builds and routes once something asks for one."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.cli.main\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded at import'\n"
+        "from repro.model import Node\n"
+        "from repro.network import Topology\n"
+        "nodes = [Node(node_no=i, total_area=100) for i in range(4)]\n"
+        "topo = Topology.clustered(nodes, cluster_size=2)\n"
+        "assert topo.hop_count(3) == 2 and topo.reachable(0)\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

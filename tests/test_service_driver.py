@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -295,4 +296,176 @@ def test_service_jsonl_persistence_continues_across_resume(tmp_path):
     assert seqs == sorted(set(seqs)), "resume duplicated or reordered events"
     base = baseline(CLEAN_SMALL, "array")
     assert resumed.hexdigest() == base.digest
+    assert result.report == base.report
+
+
+def test_resume_from_jsonl_lines_matches_event_prefix(tmp_path):
+    """The JSONL file's bytes and the in-process events are one prefix:
+    both resumes fold the same lines, and the memory sink parses them
+    only when read."""
+    path = tmp_path / "trace.jsonl"
+    svc = ServiceSimulator(SEU_SMALL, backend="array", jsonl_path=str(path))
+    svc.advance_to(400)
+    snap = svc.checkpoint()
+    svc.jsonl.close()
+    from_lines = ServiceSimulator.resume(snap, SEU_SMALL, prefix_lines=path.read_bytes())
+    from_events = ServiceSimulator.resume(snap, SEU_SMALL, prefix_events=list(svc.memory))
+    assert len(from_lines.memory) == snap.trace_seq
+    assert from_lines.memory._pending  # len() did not parse
+    assert list(from_lines.memory) == list(from_events.memory) == list(svc.memory)
+    assert not from_lines.memory._pending  # parsed once, bytes dropped
+    assert from_lines.drain().report == from_events.drain().report
+    assert from_lines.hexdigest() == from_events.hexdigest() == baseline(SEU_SMALL, "array").digest
+    with pytest.raises(SnapshotError, match="prefix"):
+        ServiceSimulator.resume(snap, SEU_SMALL, prefix_lines=path.read_bytes()[:-1] + b"9\n")
+
+
+# -- the hot loop (array) vs the generic loop (scan), windowed ----------------
+
+
+def _feed_file(path):
+    """The SOURCE_SPEC workload as the JSONL records JsonlTailSource reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for a in make_arrivals():
+            t, pref = a.task, a.task.pref_config
+            fh.write(json.dumps({
+                "no": t.task_no, "at": a.at, "req": t.required_time,
+                "pref": pref.config_no, "pref_area": pref.req_area,
+                "pref_ctime": pref.config_time,
+            }) + "\n")
+
+
+def _system_configs():
+    rng = RNG(seed=42)
+    generate_nodes(NodeSpec(count=20), rng)
+    return generate_configs(ConfigSpec(count=10), rng)
+
+
+#: Serve cases: (campaign, fed from a JSONL ingest file).  Eight nodes
+#: force partial reconfigurations (evictions) while tasks are live.
+SERVE_CASES = {
+    "clean": (CLEAN_SMALL, False),
+    "seu": (SEU_SMALL, False),
+    "evicting": (FaultCampaignSpec(nodes=8, configs=10, tasks=60, seed=42), False),
+    "jsonl-source": (SOURCE_SPEC, True),
+}
+
+
+@dataclass
+class Served:
+    driver: str
+    digest: str
+    report: object
+    views: list
+    checkpoints: list
+    jsonl: bytes
+    clock: list
+
+
+def neutral(snap):
+    """A checkpoint as plain data, without the backend it was cut on."""
+    doc = json.loads(snap.to_json())
+    doc.pop("backend")
+    doc["sim"].pop("backend")
+    return doc
+
+
+def serve_windowed(case, backend, window, tmp_path):
+    """Drive one serve case in fixed windows, viewing and checkpointing as it goes."""
+    spec, fed = SERVE_CASES[case]
+    source = None
+    if fed:
+        feed = tmp_path / f"feed-{backend}.jsonl"
+        _feed_file(feed)
+        source = JsonlTailSource(feed, _system_configs())
+        source.close()  # the producer is done: the file is complete
+    path = tmp_path / f"{backend}-{window}.jsonl"
+    svc = ServiceSimulator(spec, backend=backend, source=source, jsonl_path=str(path))
+    every = max(1, 5000 // window)
+    views, checkpoints, clock = [], [], []
+    t = windows = 0
+    while True:
+        t += window
+        windows += 1
+        svc.advance_to(t)
+        clock.append((int(svc.sim.env.now), svc.bus.events_emitted, svc.sim.pending_count))
+        if windows % every == 0:
+            views.append(svc.report_view())
+            checkpoints.append(neutral(svc.checkpoint()))
+        alive = source is not None and not source.exhausted
+        if svc.sim.pending_count == 0 and not alive:
+            break
+    result = svc.drain()
+    views.append(svc.report_view())
+    svc.jsonl.close()
+    return Served(
+        result.driver, svc.hexdigest(), result.report, views, checkpoints,
+        path.read_bytes(), clock,
+    )
+
+
+@pytest.mark.parametrize("window", [1, 997, 10_000])
+@pytest.mark.parametrize("case", sorted(SERVE_CASES))
+def test_windowed_serve_hot_matches_generic(case, window, tmp_path):
+    """Every window, view, checkpoint and trace byte agrees across the tiers."""
+    hot = serve_windowed(case, "array", window, tmp_path)
+    ref = serve_windowed(case, "scan", window, tmp_path)
+    assert (hot.driver, ref.driver) == ("hot", "generic")
+    assert len(hot.checkpoints) >= 2
+    assert hot.clock == ref.clock  # clock, events and queue after every window
+    assert hot.digest == ref.digest
+    assert hot.report == ref.report
+    assert hot.views == ref.views
+    assert hot.jsonl == ref.jsonl
+    assert hot.checkpoints == ref.checkpoints
+    spec, fed = SERVE_CASES[case]
+    if not fed:
+        assert hot.digest == baseline(spec, "array").digest
+
+
+@pytest.mark.parametrize(
+    "cut_backend, resume_backend", [("array", "scan"), ("scan", "array")],
+    ids=["hot-cut-scan-resume", "scan-cut-hot-resume"],
+)
+@pytest.mark.parametrize("spec", [CLEAN_SMALL, SEU_SMALL], ids=["clean", "seu"])
+def test_resume_across_drivers_matches_batch(spec, cut_backend, resume_backend):
+    base = baseline(spec, "array")
+    svc = ServiceSimulator(spec, backend=cut_backend)
+    for t in (997, 1994, 25_000):
+        svc.advance_to(t)
+    snap = Snapshot.from_json(svc.checkpoint().to_json())
+    resumed = ServiceSimulator.resume(
+        snap, spec, backend=resume_backend, prefix_events=list(svc.memory)
+    )
+    for t in (30_000, 60_000):
+        resumed.advance_to(t)
+    result = resumed.drain()
+    assert result.driver == ("hot" if resume_backend == "array" else "generic")
+    assert resumed.hexdigest() == base.digest
+    assert result.report == base.report
+
+
+def test_array_serve_and_its_resume_run_hot():
+    svc = ServiceSimulator(SEU_SMALL, backend="array")
+    svc.advance_to(500)
+    assert (svc.sim.driver, svc.sim.driver_reason) == ("hot", None)
+    snap = svc.checkpoint()
+    assert svc.drain().driver == "hot"
+    resumed = ServiceSimulator.resume(snap, SEU_SMALL, prefix_events=list(svc.memory)[: snap.trace_seq])
+    assert resumed.sim.driver == "hot"
+    assert resumed.drain().driver == "hot"
+    scan = ServiceSimulator(SEU_SMALL, backend="scan")
+    scan.advance_to(500)
+    assert (scan.sim.driver, scan.sim.driver_reason) == ("generic", "backend is not array")
+
+
+def test_parked_hot_run_spills_into_the_generic_loop():
+    """A bounded run() on a started hot run spills the parked heap back into
+    kernel events and finishes on the generic loop with the batch report."""
+    base = baseline(SEU_SMALL, "array")
+    svc = ServiceSimulator(SEU_SMALL, backend="array")
+    svc.advance_to(5000)
+    assert svc.sim.pending_count > svc.sim.env.pending_count  # parked records
+    result = svc.sim.run(until=10**7)
+    assert (result.driver, result.driver_reason) == ("generic", "bounded horizon (until)")
     assert result.report == base.report
